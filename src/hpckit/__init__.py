@@ -6,111 +6,11 @@ system requirements from the monitors, run a correlation-driven
 reduction that prunes redundant columns and maps each requirement to
 one monitor, select the knobs that actually move those monitors, and
 validate the reduced search against exhaustive ranking.
-"""
 
-from .defaults import (
-    DEFAULT_INTERVALS,
-    DEFAULT_SEED,
-    default_availability_model,
-    default_cost_model,
-    default_effects,
-    default_fault_model,
-    default_knob_space,
-    default_requirement_spec,
-    default_workload,
-)
-from .errors import (
-    ConfigError,
-    DegenerateSeriesError,
-    HpckitError,
-    IngestionError,
-    MappingError,
-    NoFeasibleConfigurationError,
-    UnreachableTargetError,
-)
-from .metrics import (
-    AvailabilityModel,
-    CostBreakdown,
-    CostModel,
-    RequirementSpec,
-    derive_cost,
-    derive_dataset,
-    derive_energy,
-    derive_power,
-    derive_requirements,
-    fit_to_mtbf,
-    min_servers,
-    server_availability,
-    system_availability,
-)
-from .reducer import (
-    DEFAULT_KNOB_THRESHOLD,
-    DEFAULT_REQUIREMENT_THRESHOLD,
-    CorrelationMatrix,
-    KnobSelection,
-    MonitorMatch,
-    ReductionReport,
-    RemovalRecord,
-    map_requirements_to_monitors,
-    pearson,
-    prune_correlated,
-    reduce,
-    select_knobs,
-)
-from .search import (
-    MONITOR_DIRECTIONS,
-    REQUIREMENT_DIRECTIONS,
-    RankedConfig,
-    ValidationResult,
-    is_feasible,
-    oracle_best,
-    reduced_best,
-    score_requirements,
-    threshold_violation,
-    validate,
-)
-from .simulator import (
-    MC_ITERATIONS_FLOOR,
-    CombinedEffect,
-    FaultCase,
-    FaultModel,
-    IntervalRecord,
-    KnobEffects,
-    LevelEffect,
-    NoiseParams,
-    SimulationResult,
-    WorkloadParams,
-    classify_fault_outcome,
-    combine_effects,
-    generate_sweep,
-    interval_time,
-    parameters_digest,
-    simulate_config,
-    simulate_config_detailed,
-    trimmed_mean,
-)
-from .sweep import (
-    MONITOR_FIELDS,
-    MONITOR_NAMES,
-    REQUIREMENT_FIELDS,
-    REQUIREMENT_NAMES,
-    Configuration,
-    KnobDef,
-    KnobLevel,
-    KnobSpace,
-    MonitorVector,
-    RequirementValues,
-    SweepDataset,
-    SweepRow,
-    encode_knob_column,
-    enumerate_configs,
-    enumeration_rank,
-    export_csv,
-    export_csv_string,
-    ingest_csv,
-    load_knob_space,
-    save_knob_space,
-    zscore,
-)
+Names are imported from the submodules (``hpckit.sweep``,
+``hpckit.simulator``, ``hpckit.metrics``, ``hpckit.reducer``,
+``hpckit.search``, ``hpckit.defaults``, ``hpckit.cli``); the package
+itself exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

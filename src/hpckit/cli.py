@@ -15,21 +15,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .defaults import (
-    DEFAULT_INTERVALS,
-    DEFAULT_SEED,
-    default_availability_model,
-    default_cost_model,
-    default_effects,
-    default_fault_model,
-    default_knob_space,
-    default_requirement_spec,
-    default_workload,
-)
+from .defaults import DEFAULT_SEED, default_effects, default_knob_space
 from .errors import ConfigError, HpckitError, IngestionError, NoFeasibleConfigurationError
 from .metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from .reducer import (
@@ -39,8 +29,16 @@ from .reducer import (
     reduce,
 )
 from .search import REQUIREMENT_NAMES, is_feasible, oracle_best, score_requirements, validate
-from .simulator import FaultModel, KnobEffects, LevelEffect, NoiseParams, WorkloadParams, generate_sweep
-from .sweep import Configuration, KnobSpace, SweepDataset, export_csv, ingest_csv, load_knob_space
+from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
+from .sweep import (
+    Configuration,
+    KnobSpace,
+    SweepDataset,
+    export_csv,
+    ingest_csv,
+    load_knob_space,
+    split_metadata,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,20 +46,23 @@ EXIT_NO_FEASIBLE = 2
 EXIT_INGESTION = 3
 
 _CONFIG_SECTIONS = ("space", "workload", "effects", "metrics", "analysis", "baseline")
-_METRICS_KEYS = (
-    "mttr_h", "required_servers", "availability_target", "max_servers",
-    "server_price", "infra_price", "energy_price_per_j", "maintenance_rate",
-    "performance_max_s", "power_max_w", "energy_max_j", "availability_min",
-    "min_mc_iterations",
-)
 _ANALYSIS_KEYS = ("req_threshold", "knob_threshold", "weights")
-_EFFECT_SCALARS = (
-    "frequency_knob", "reference_frequency_ghz", "cpu_power_base_w",
-    "cpu_power_exponent", "dram_background_w", "dram_activity_w",
-    "temperature_ambient_c", "temperature_per_watt", "peak_margin_w",
-    "ipc_per_core", "mpki_base", "base_fit",
-)
-_FAULT_KEYS = ("probability", "probability_scale", "repair_intervals")
+# metrics config key -> (model, field); drives parsing, key checks and manifests
+_METRICS_FIELDS = {
+    "mttr_h": (AvailabilityModel, "server_mttr"),
+    "required_servers": (AvailabilityModel, "required_servers"),
+    "availability_target": (AvailabilityModel, "availability_target"),
+    "max_servers": (AvailabilityModel, "max_servers"),
+    "server_price": (CostModel, "server_price"),
+    "infra_price": (CostModel, "infrastructure_price"),
+    "energy_price_per_j": (CostModel, "energy_price"),
+    "maintenance_rate": (CostModel, "maintenance_rate"),
+    "performance_max_s": (RequirementSpec, "performance_max"),
+    "power_max_w": (RequirementSpec, "power_max"),
+    "energy_max_j": (RequirementSpec, "energy_max"),
+    "availability_min": (RequirementSpec, "availability_min"),
+    "min_mc_iterations": (RequirementSpec, "min_mc_iterations"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +73,25 @@ def _check_keys(data: dict, allowed, where: str) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return value
+
+
+def _override(base, section: dict, where: str):
+    """``base`` (a dataclass) with the fields named in ``section`` replaced.
+
+    Unknown keys and values the dataclass rejects raise ConfigError
+    naming ``where``.
+    """
+    _check_keys(_object(section, where), [f.name for f in fields(base)], where)
+    try:
+        return replace(base, **section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -118,105 +138,43 @@ def build_space(cfg: dict) -> KnobSpace:
 
 
 def build_workload(cfg: dict) -> WorkloadParams:
-    section = cfg.get("workload")
-    if section is None:
-        return default_workload()
-    return _workload_from_dict(section, "config section 'workload'")
-
-
-def _workload_from_dict(section: dict, where: str) -> WorkloadParams:
-    base = asdict(default_workload())
-    _check_keys(section, base, where)
-    base.update(section)
-    try:
-        return WorkloadParams(**base)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _override(WorkloadParams(), cfg.get("workload") or {}, "config section 'workload'")
 
 
 def build_effects(cfg: dict) -> tuple[KnobEffects, FaultModel]:
-    section = cfg.get("effects")
-    defaults = default_effects()
-    fault = default_fault_model()
-    if section is None:
-        return defaults, fault
     where = "config section 'effects'"
-    _check_keys(section, _EFFECT_SCALARS + ("noise", "levels", "fault"), where)
-
-    kwargs = {name: section.get(name, getattr(defaults, name)) for name in _EFFECT_SCALARS}
-
-    noise_dict = asdict(defaults.noise)
-    noise_over = section.get("noise", {})
-    _check_keys(noise_over, noise_dict, f"{where}.noise")
-    noise_dict.update(noise_over)
-    kwargs["noise"] = NoiseParams(**noise_dict)
-
-    levels = {k: dict(v) for k, v in defaults.levels.items()}
-    for knob, table in section.get("levels", {}).items():
-        new_table = levels.setdefault(knob, {})
-        for label, fields in table.items():
-            _check_keys(fields, asdict(LevelEffect()), f"{where}.levels[{knob}][{label}]")
-            try:
-                new_table[label] = LevelEffect(**fields)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}.levels[{knob}][{label}]: {exc}") from exc
-
-    kwargs["levels"] = levels
-    try:
-        effects = KnobEffects(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-    fault_over = section.get("fault", {})
-    _check_keys(fault_over, _FAULT_KEYS, f"{where}.fault")
-    fault_dict = asdict(fault)
-    fault_dict.update(fault_over)
-    try:
-        fault = FaultModel(**fault_dict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.fault: {exc}") from exc
-    return effects, fault
+    section = dict(_object(cfg.get("effects") or {}, where))
+    base = default_effects()
+    fault = _override(FaultModel(), section.pop("fault", {}), f"{where}.fault")
+    noise = _override(base.noise, section.pop("noise", {}), f"{where}.noise")
+    levels = {knob: dict(table) for knob, table in base.levels.items()}
+    for knob, table in _object(section.pop("levels", {}), f"{where}.levels").items():
+        for label, over in _object(table, f"{where}.levels[{knob}]").items():
+            levels.setdefault(knob, {})[label] = _override(
+                LevelEffect(), over, f"{where}.levels[{knob}][{label}]")
+    return _override(base, {**section, "noise": noise, "levels": levels}, where), fault
 
 
 def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementSpec]:
-    section = cfg.get("metrics", {})
-    _check_keys(section, _METRICS_KEYS, "config section 'metrics'")
-    am = default_availability_model()
-    cm = default_cost_model()
-    spec = default_requirement_spec()
-    try:
-        am = AvailabilityModel(
-            server_mttr=section.get("mttr_h", am.server_mttr),
-            required_servers=section.get("required_servers", am.required_servers),
-            availability_target=section.get("availability_target", am.availability_target),
-            max_servers=section.get("max_servers", am.max_servers),
-        )
-        cm = CostModel(
-            server_price=section.get("server_price", cm.server_price),
-            infrastructure_price=section.get("infra_price", cm.infrastructure_price),
-            energy_price=section.get("energy_price_per_j", cm.energy_price),
-            maintenance_rate=section.get("maintenance_rate", cm.maintenance_rate),
-        )
-        spec = RequirementSpec(
-            performance_max=section.get("performance_max_s", spec.performance_max),
-            power_max=section.get("power_max_w", spec.power_max),
-            energy_max=section.get("energy_max_j", spec.energy_max),
-            availability_min=section.get("availability_min", spec.availability_min),
-            min_mc_iterations=section.get("min_mc_iterations", spec.min_mc_iterations),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'metrics': {exc}") from exc
-    return am, cm, spec
+    where = "config section 'metrics'"
+    section = _object(cfg.get("metrics") or {}, where)
+    _check_keys(section, _METRICS_FIELDS, where)
+    return tuple(
+        _override(model(), {f: section[key] for key, (m, f) in _METRICS_FIELDS.items()
+                            if m is model and key in section}, where)
+        for model in (AvailabilityModel, CostModel, RequirementSpec)
+    )
 
 
 def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
-    section = cfg.get("analysis", {})
+    section = _object(cfg.get("analysis") or {}, "config section 'analysis'")
     _check_keys(section, _ANALYSIS_KEYS, "config section 'analysis'")
     req_threshold = section.get("req_threshold", DEFAULT_REQUIREMENT_THRESHOLD)
     knob_threshold = section.get("knob_threshold", DEFAULT_KNOB_THRESHOLD)
     weights = section.get("weights")
     if weights is not None:
-        _check_keys(weights, REQUIREMENT_NAMES, "config section 'analysis'.weights")
+        where = "config section 'analysis'.weights"
+        _check_keys(_object(weights, where), REQUIREMENT_NAMES, where)
         weights = {name: float(v) for name, v in weights.items()}
     return float(req_threshold), float(knob_threshold), weights
 
@@ -225,7 +183,8 @@ def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
     section = cfg.get("baseline")
     if section is None:
         return None
-    _check_keys(section, space.names, "config section 'baseline'")
+    _check_keys(_object(section, "config section 'baseline'"), space.names,
+                "config section 'baseline'")
     levels = []
     for name in space.names:
         knob = space.knob(name)
@@ -243,34 +202,9 @@ def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
 # run manifest
 
 
-def _effects_json(effects: KnobEffects, fault: FaultModel) -> dict:
-    return {
-        **{name: getattr(effects, name) for name in _EFFECT_SCALARS},
-        "noise": asdict(effects.noise),
-        "levels": {
-            knob: {label: asdict(eff) for label, eff in sorted(table.items())}
-            for knob, table in sorted(effects.levels.items())
-        },
-        "fault": asdict(fault),
-    }
-
-
-def _metrics_json(am: AvailabilityModel, cm: CostModel, spec: RequirementSpec) -> dict:
-    return {
-        "mttr_h": am.server_mttr,
-        "required_servers": am.required_servers,
-        "availability_target": am.availability_target,
-        "max_servers": am.max_servers,
-        "server_price": cm.server_price,
-        "infra_price": cm.infrastructure_price,
-        "energy_price_per_j": cm.energy_price,
-        "maintenance_rate": cm.maintenance_rate,
-        "performance_max_s": spec.performance_max,
-        "power_max_w": spec.power_max,
-        "energy_max_j": spec.energy_max,
-        "availability_min": spec.availability_min,
-        "min_mc_iterations": spec.min_mc_iterations,
-    }
+def _metrics_json(*models) -> dict:
+    by_type = {type(m): m for m in models}
+    return {key: getattr(by_type[m], f) for key, (m, f) in _METRICS_FIELDS.items()}
 
 
 def make_manifest(
@@ -329,6 +263,18 @@ def _require_file(path: str, flag: str) -> str:
     return path
 
 
+def _read_json(path: str, flag: str) -> dict:
+    _require_file(path, flag)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} {path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{flag} {path}: expected a JSON object")
+    return data
+
+
 def _resolve_space(args, cfg: dict) -> KnobSpace:
     space_path = getattr(args, "space", None)
     if space_path:
@@ -362,6 +308,22 @@ def _require_derived(ds: SweepDataset, path: str) -> None:
         )
 
 
+def _require_mc_iterations(ds: SweepDataset, spec: RequirementSpec, path: str) -> None:
+    """Enforce the accuracy floor on the dataset's recorded Monte Carlo iterations."""
+    raw = ds.metadata.get("mc_iterations")
+    if raw is None:
+        return
+    try:
+        iterations = float(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: mc_iterations metadata is not a number: {raw!r}") from None
+    if not iterations >= spec.min_mc_iterations:
+        raise ConfigError(
+            f"{path}: dataset has mc_iterations {raw}, below the accuracy floor "
+            f"metrics.min_mc_iterations {spec.min_mc_iterations}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -369,13 +331,8 @@ def _require_derived(ds: SweepDataset, path: str) -> None:
 def cmd_simulate(args, cfg: dict) -> int:
     space = _resolve_space(args, cfg)
     if args.params:
-        _require_file(args.params, "--params")
-        try:
-            with open(args.params, "r", encoding="utf-8") as fh:
-                params_data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--params {args.params}: invalid JSON: {exc}") from exc
-        params = _workload_from_dict(params_data, f"--params {args.params}")
+        params = _override(WorkloadParams(), _read_json(args.params, "--params"),
+                           f"--params {args.params}")
     else:
         params = build_workload(cfg)
     effects, fault = build_effects(cfg)
@@ -389,7 +346,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     resolved = {
         "space": space.to_json_dict(),
         "workload": asdict(params),
-        "effects": _effects_json(effects, fault),
+        "effects": {**asdict(effects), "fault": asdict(fault)},
     }
     manifest = make_manifest(
         args, "simulate", resolved,
@@ -428,6 +385,7 @@ def cmd_ingest(args, cfg: dict) -> int:
 def cmd_derive(args, cfg: dict) -> int:
     ds, space, digest, seed = _load_dataset(args, cfg)
     am, cm, spec = build_metrics(cfg)
+    _require_mc_iterations(ds, spec, args.dataset)
     derived = derive_dataset(ds, am, cm, spec)
     resolved = {
         "space": space.to_json_dict(),
@@ -498,27 +456,11 @@ def _leaderboard_rows(ds: SweepDataset, spec: RequirementSpec,
     return entries
 
 
-def _leaderboard_text(entries: list[dict], feasible: int, total: int) -> str:
-    lines = [f"top {len(entries)} feasible configurations "
-             f"({feasible} feasible of {total} swept), lower score is better", ""]
-    for e in entries:
-        config = " ".join(f"{k}={v}" for k, v in e["configuration"].items())
-        req = e["requirements"]
-        lines.append(
-            f"{e['rank']:>3}. score {e['score']:+8.4f}  {config}"
-        )
-        lines.append(
-            f"     t={req['performance_s']:.1f}s  P={req['power_w']:.2f}W  "
-            f"E={req['energy_j']:.0f}J  A={req['availability']:.5f}  "
-            f"C={req['cost']:.1f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_search(args, cfg: dict) -> int:
     ds, space, digest, seed = _load_dataset(args, cfg)
     _require_derived(ds, args.dataset)
     am, cm, spec = build_metrics(cfg)
+    _require_mc_iterations(ds, spec, args.dataset)
     _, _, weights = build_analysis(cfg)
     try:
         best = oracle_best(ds, spec, weights)
@@ -549,7 +491,7 @@ def cmd_search(args, cfg: dict) -> int:
         "leaderboard": entries,
     }
     _write_json(args.out, payload)
-    _write_text(args.leaderboard, manifest, _leaderboard_text(entries, feasible, len(ds)))
+    _write_text(args.leaderboard, manifest, _section("search", render_search(payload)))
     config_str = " ".join(f"{k}={v}" for k, v in
                           zip(space.names, best.config.labels(space)))
     print(f"wrote {args.out} and {args.leaderboard}: best {config_str} "
@@ -560,15 +502,13 @@ def cmd_search(args, cfg: dict) -> int:
 def cmd_validate(args, cfg: dict) -> int:
     ds, space, digest, seed = _load_dataset(args, cfg)
     _require_derived(ds, args.dataset)
-    _require_file(args.reduction, "--reduction")
     try:
-        with open(args.reduction, "r", encoding="utf-8") as fh:
-            reduction_data = json.load(fh)
-        report = ReductionReport.from_json_dict(reduction_data)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        report = ReductionReport.from_json_dict(_read_json(args.reduction, "--reduction"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"--reduction {args.reduction}: not a reduction artifact: {exc}") from exc
 
     am, cm, spec = build_metrics(cfg)
+    _require_mc_iterations(ds, spec, args.dataset)
     _, _, weights = build_analysis(cfg)
     baseline = build_baseline(cfg, space)
     try:
@@ -592,8 +532,9 @@ def cmd_validate(args, cfg: dict) -> int:
         dataset_seed=seed,
         dataset_digest=digest,
     )
-    _write_json(args.out, {"manifest": manifest, **result.to_json_dict(ds)})
-    _write_text(args.table, manifest, result.to_text(ds))
+    payload = {"manifest": manifest, **result.to_json_dict(ds)}
+    _write_json(args.out, payload)
+    _write_text(args.table, manifest, _section("validation", render_validation(payload)))
     print(f"wrote {args.out} and {args.table}: picks "
           f"{'agree' if result.picks_agree else 'differ'}, "
           f"worst regression {result.max_negative_pct:.4%}")
@@ -604,96 +545,91 @@ def cmd_validate(args, cfg: dict) -> int:
 # report
 
 
-def _read_artifact(path: str, flag: str) -> dict:
-    _require_file(path, flag)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{flag} {path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{flag} {path}: expected a JSON object")
-    return data
-
-
 def _sweep_summary(path: str) -> list[str]:
     _require_file(path, "--sweep")
-    metadata = {}
-    rows = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, val = body.partition(":")
-                metadata[key.strip()] = val.strip()
-            elif line.strip():
-                rows += 1
-    rows = max(0, rows - 1)  # header line
-    lines = [f"  file: {path}", f"  rows: {rows}"]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        metadata, data = split_metadata(fh)
+    lines = [f"file: {path}", f"rows: {max(0, len(data) - 1)}"]  # less the header
     for key in ("seed", "parameters", "mc_iterations", "n_intervals",
                 "interval_success_fraction"):
         if key in metadata:
-            lines.append(f"  {key.replace('_', ' ')}: {metadata[key]}")
+            lines.append(f"{key.replace('_', ' ')}: {metadata[key]}")
     return lines
 
 
-def _report_reduction(data: dict) -> list[str]:
-    lines = []
-    thresholds = data.get("thresholds", {})
-    lines.append(f"  thresholds: requirement {thresholds.get('requirement')}, "
-                 f"knob {thresholds.get('knob')}")
-    lines.append("  kept requirements: " + ", ".join(data.get("kept_requirements", [])))
-    lines.append("  kept monitors:     " + ", ".join(data.get("kept_monitors", [])))
-    for rec in data.get("removed_monitors", []):
-        if rec.get("reason") == "correlated":
-            lines.append(f"    removed {rec['removed']} "
-                         f"(r = {rec['coefficient']:+.4f} with {rec['partner']})")
-        else:
-            lines.append(f"    removed {rec['removed']} ({rec['reason']})")
-    lines.append("  requirement -> monitor:")
-    for req, m in data.get("requirement_to_monitor", {}).items():
-        lines.append(f"    {req:<14} -> {m['monitor']} (r = {m['coefficient']:+.4f})")
-    selected = ", ".join(k["knob"] for k in data.get("selected_knobs", []))
-    rejected = ", ".join(k["knob"] for k in data.get("rejected_knobs", []))
-    lines.append(f"  selected knobs: {selected}")
-    lines.append(f"  rejected knobs: {rejected}")
+# One renderer per JSON artifact. The stage's own text file and ``report``
+# both use it, so they show the same text. Renderers read knobs in sorted
+# order and requirements in REQUIREMENT_NAMES order, so a payload renders
+# the same before and after its JSON round trip.
+
+
+def _config_text(configuration: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(configuration.items()))
+
+
+def _removal_text(rec: dict) -> str:
+    if rec["reason"] == "correlated":
+        return f"  removed {rec['removed']} (r = {rec['coefficient']:+.4f} with {rec['partner']})"
+    return f"  removed {rec['removed']} ({rec['reason']})"
+
+
+def render_reduction(data: dict) -> list[str]:
+    """Text lines for a reduction artifact."""
+    thresholds = data["thresholds"]
+    mapping = data["requirement_to_monitor"]
+    lines = [f"thresholds: requirement {thresholds['requirement']}, knob {thresholds['knob']}",
+             "kept requirements: " + ", ".join(data["kept_requirements"])]
+    lines += [_removal_text(rec) for rec in data["removed_requirements"]]
+    lines.append("kept monitors:     " + ", ".join(data["kept_monitors"]))
+    lines += [_removal_text(rec) for rec in data["removed_monitors"]]
+    lines.append("requirement -> monitor:")
+    for req in (name for name in REQUIREMENT_NAMES if name in mapping):
+        lines.append(f"  {req:<14} -> {mapping[req]['monitor']} "
+                     f"(r = {mapping[req]['coefficient']:+.4f})")
+    lines.append("selected knobs: " + ", ".join(k["knob"] for k in data["selected_knobs"]))
+    lines.append("rejected knobs: " + ", ".join(k["knob"] for k in data["rejected_knobs"]))
     return lines
 
 
-def _report_search(data: dict) -> list[str]:
-    lines = [f"  feasible rows: {data.get('feasible_rows')} of {data.get('total_rows')}"]
-    best = data.get("best", {})
-    config = " ".join(f"{k}={v}" for k, v in best.get("configuration", {}).items())
-    lines.append(f"  best configuration: {config}")
-    score = best.get("score")
-    lines.append(f"  best score: {score:+.4f}" if isinstance(score, float)
-                 else f"  best score: {score}")
-    lines.append("  leaderboard:")
-    for e in data.get("leaderboard", []):
-        config = " ".join(f"{k}={v}" for k, v in e["configuration"].items())
-        lines.append(f"    {e['rank']:>3}. {e['score']:+8.4f}  {config}")
+def render_search(data: dict) -> list[str]:
+    """Text lines for a search artifact: the best pick and the leaderboard."""
+    best = data["best"]
+    lines = [f"feasible rows: {data['feasible_rows']} of {data['total_rows']}",
+             f"best configuration: {_config_text(best['configuration'])}",
+             f"best score: {best['score']:+.4f}",
+             f"leaderboard (top {len(data['leaderboard'])} feasible, lower score is better):"]
+    for e in data["leaderboard"]:
+        req = e["requirements"]
+        lines.append(f"  {e['rank']:>3}. {e['score']:+8.4f}  {_config_text(e['configuration'])}")
+        lines.append(f"       t={req['performance_s']:.1f}s  P={req['power_w']:.2f}W  "
+                     f"E={req['energy_j']:.0f}J  A={req['availability']:.5f}  "
+                     f"C={req['cost']:.1f}")
     return lines
 
 
-def _report_validation(data: dict) -> list[str]:
-    lines = []
-    oracle = data.get("oracle", {}).get("configuration", {})
-    reduced = data.get("reduced", {}).get("configuration", {})
-    lines.append("  oracle pick:  " + " ".join(f"{k}={v}" for k, v in oracle.items()))
-    lines.append("  reduced pick: " + " ".join(f"{k}={v}" for k, v in reduced.items()))
-    lines.append(f"  picks agree: {'yes' if data.get('picks_agree') else 'no'}")
-    lines.append("  relative difference per requirement (positive favors reduced):")
-    for name, pct in data.get("percent_differences", {}).items():
-        lines.append(f"    {name:<15} {pct:+.4%}")
-    lines.append(f"  worst regression: {data.get('max_negative_pct', 0.0):.4%}")
-    lines.append("  improvement over baseline (ratio, higher is better):")
-    oracle_imp = data.get("oracle_improvement_vs_baseline", {})
-    reduced_imp = data.get("reduced_improvement_vs_baseline", {})
-    for name in oracle_imp:
-        fmt = lambda v: "n/a" if v is None else f"{v:.3f}x"
-        lines.append(f"    {name:<15} oracle {fmt(oracle_imp[name]):>9s}   "
-                     f"reduced {fmt(reduced_imp.get(name)):>9s}")
+def _ratio_text(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.3f}x"
+
+
+def render_validation(data: dict) -> list[str]:
+    """Text lines for a validation artifact: both picks and their gap."""
+    pct = data["percent_differences"]
+    oracle = data["oracle_improvement_vs_baseline"]
+    reduced = data["reduced_improvement_vs_baseline"]
+    lines = [f"oracle pick:  {_config_text(data['oracle']['configuration'])}",
+             f"reduced pick: {_config_text(data['reduced']['configuration'])}",
+             f"picks agree: {'yes' if data['picks_agree'] else 'no'}",
+             "relative difference per requirement (positive favors reduced):"]
+    lines += [f"  {name:<15} {pct[name]:+.4%}" for name in REQUIREMENT_NAMES]
+    lines.append(f"worst regression: {data['max_negative_pct']:.4%}")
+    lines.append("improvement over baseline (ratio, higher is better):")
+    lines += [f"  {name:<15} oracle {_ratio_text(oracle[name]):>9s}   "
+              f"reduced {_ratio_text(reduced[name]):>9s}" for name in REQUIREMENT_NAMES]
     return lines
+
+
+def _section(title: str, lines: list[str]) -> str:
+    return "\n".join([title, "-" * len(title), *("  " + line for line in lines)]) + "\n"
 
 
 def cmd_report(args, cfg: dict) -> int:
@@ -704,27 +640,18 @@ def cmd_report(args, cfg: dict) -> int:
         )
     sections = []
     if args.sweep:
-        sections.append(("dataset", _sweep_summary(args.sweep)))
-    if args.reduction:
-        sections.append(
-            ("reduction", _report_reduction(_read_artifact(args.reduction, "--reduction")))
-        )
-    if args.search:
-        sections.append(
-            ("search", _report_search(_read_artifact(args.search, "--search")))
-        )
-    if args.validation:
-        sections.append(
-            ("validation", _report_validation(_read_artifact(args.validation, "--validation")))
-        )
-
-    body_lines = ["hpckit pipeline report", "======================"]
-    for title, lines in sections:
-        body_lines.append("")
-        body_lines.append(title)
-        body_lines.append("-" * len(title))
-        body_lines.extend(lines)
-    body = "\n".join(body_lines) + "\n"
+        sections.append(_section("dataset", _sweep_summary(args.sweep)))
+    for name, render in (("reduction", render_reduction), ("search", render_search),
+                         ("validation", render_validation)):
+        path = getattr(args, name)
+        if path:
+            data = _read_json(path, f"--{name}")
+            try:
+                sections.append(_section(name, render(data)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"--{name} {path}: not a {name} artifact: {exc!r}") from exc
+    body = "hpckit pipeline report\n======================\n" + "".join(
+        "\n" + section for section in sections)
 
     inputs = {k: v for k, v in (("sweep", args.sweep), ("reduction", args.reduction),
                                 ("search", args.search), ("validation", args.validation)) if v}

@@ -8,6 +8,10 @@ all. The effect magnitudes are synthetic calibration constants chosen
 to behave like a compute-bound batch job; they are not measurements of
 any physical machine.
 
+Every scalar default is the field default of its dataclass in
+``simulator`` or ``metrics``; this module adds the knob space, the
+per-level effect table and the default seed.
+
 Notes on individual knobs:
 
 * SMT raises throughput substantially on this workload and costs CPU
@@ -27,7 +31,7 @@ Notes on individual knobs:
 from __future__ import annotations
 
 from .metrics import AvailabilityModel, CostModel, RequirementSpec
-from .simulator import FaultModel, KnobEffects, LevelEffect, NoiseParams, WorkloadParams
+from .simulator import FaultModel, KnobEffects, LevelEffect, WorkloadParams
 from .sweep import KnobDef, KnobLevel, KnobSpace
 
 DEFAULT_SEED = 12
@@ -55,104 +59,64 @@ def default_knob_space() -> KnobSpace:
     ))
 
 
-DEFAULT_INTERVALS = 7
-
-
 def default_workload() -> WorkloadParams:
-    return WorkloadParams(
-        mc_iterations=20_000,
-        deadline_s=600.0,
-        servers=2,
-        cores_per_server=16,
-        base_seconds=1.85,
-        result_processing_s=20.0,
-    )
+    return WorkloadParams()
 
 
 def default_effects() -> KnobEffects:
-    return KnobEffects(
-        frequency_knob="DVFS",
-        reference_frequency_ghz=2.6,
-        cpu_power_base_w=63.5,
-        cpu_power_exponent=1.5,
-        dram_background_w=4.5,
-        dram_activity_w=6.5,
-        temperature_ambient_c=28.0,
-        temperature_per_watt=0.35,
-        peak_margin_w=1.5,
-        ipc_per_core=1.08,
-        mpki_base=0.013,
-        base_fit=300_000.0,
-        noise=NoiseParams(),
-        levels={
-            "SMT": {
-                "Enable": LevelEffect(
-                    throughput=1.70,
-                    cpu_power=1.45,
-                    dram_activity=1.15,
-                    mpki=1.12,
-                ),
-            },
-            "Turbo Mode": {
-                "Enable": LevelEffect(
-                    throughput=1.03,
-                    peak_surcharge_w=12.0,
-                ),
-            },
-            "Prefetchers": {
-                "Enable": LevelEffect(
-                    throughput=1.08,
-                    cpu_power=1.01,
-                    dram_activity=1.06,
-                    mpki=0.75,
-                ),
-            },
-            "DRAM Protection": {
-                "ChipkillDC": LevelEffect(
-                    throughput=0.98,
-                    cpu_power=1.005,
-                    dram_activity=1.05,
-                    dram_background_w=0.8,
-                    mpki=1.02,
-                ),
-            },
-            "Redundancy": {
-                "Enable": LevelEffect(
-                    cores=0.5,
-                    fit=0.35,
-                ),
-            },
+    """The response surface with the per-level effects of the default knobs."""
+    return KnobEffects(levels={
+        "SMT": {
+            "Enable": LevelEffect(
+                throughput=1.70,
+                cpu_power=1.45,
+                dram_activity=1.15,
+                mpki=1.12,
+            ),
         },
-    )
+        "Turbo Mode": {
+            "Enable": LevelEffect(
+                throughput=1.03,
+                peak_surcharge_w=12.0,
+            ),
+        },
+        "Prefetchers": {
+            "Enable": LevelEffect(
+                throughput=1.08,
+                cpu_power=1.01,
+                dram_activity=1.06,
+                mpki=0.75,
+            ),
+        },
+        "DRAM Protection": {
+            "ChipkillDC": LevelEffect(
+                throughput=0.98,
+                cpu_power=1.005,
+                dram_activity=1.05,
+                dram_background_w=0.8,
+                mpki=1.02,
+            ),
+        },
+        "Redundancy": {
+            "Enable": LevelEffect(
+                cores=0.5,
+                fit=0.35,
+            ),
+        },
+    })
 
 
 def default_fault_model() -> FaultModel:
-    return FaultModel(probability=None, probability_scale=1.0, repair_intervals=2)
+    return FaultModel()
 
 
 def default_availability_model() -> AvailabilityModel:
-    return AvailabilityModel(
-        server_mttr=24.0,
-        required_servers=2,
-        availability_target=0.99,
-        max_servers=16,
-    )
+    return AvailabilityModel()
 
 
 def default_cost_model() -> CostModel:
-    return CostModel(
-        server_price=2000.0,
-        infrastructure_price=500.0,
-        energy_price=1e-6,
-        maintenance_rate=0.01,
-    )
+    return CostModel()
 
 
 def default_requirement_spec() -> RequirementSpec:
-    return RequirementSpec(
-        performance_max=600.0,
-        power_max=81.0,
-        energy_max=48_600.0,
-        availability_min=0.99,
-        min_mc_iterations=10_000,
-    )
+    return RequirementSpec()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -132,14 +132,6 @@ class RemovalRecord:
     coefficient: float | None = None
     removed_sum: float | None = None
     partner_sum: float | None = None
-
-    def describe(self) -> str:
-        if self.reason == "correlated":
-            return (f"{self.removed}: correlated with {self.partner} "
-                    f"(r = {self.coefficient:+.4f})")
-        if self.reason == "zero_variance":
-            return f"{self.removed}: zero variance"
-        return f"{self.removed}: not the best proxy for any requirement"
 
 
 class MonitorMatch(NamedTuple):
@@ -308,50 +300,16 @@ class ReductionReport:
                 "knob": self.knob_threshold,
             },
             "kept_requirements": list(self.kept_requirements),
-            "removed_requirements": [_removal_json(r) for r in self.removed_requirements],
+            "removed_requirements": [asdict(r) for r in self.removed_requirements],
             "kept_monitors": list(self.kept_monitors),
-            "removed_monitors": [_removal_json(r) for r in self.removed_monitors],
+            "removed_monitors": [asdict(r) for r in self.removed_monitors],
             "requirement_to_monitor": {
-                req: {"monitor": m.monitor, "coefficient": m.coefficient}
-                for req, m in self.requirement_to_monitor.items()
+                req: m._asdict() for req, m in self.requirement_to_monitor.items()
             },
-            "selected_knobs": [
-                {"knob": k.knob, "monitor": k.monitor, "coefficient": k.coefficient}
-                for k in self.selected_knobs
-            ],
-            "rejected_knobs": [
-                {"knob": k.knob, "monitor": k.monitor, "coefficient": k.coefficient}
-                for k in self.rejected_knobs
-            ],
+            "selected_knobs": [k._asdict() for k in self.selected_knobs],
+            "rejected_knobs": [k._asdict() for k in self.rejected_knobs],
             "knob_coefficients": self.knob_coefficients.to_json_dict(),
         }
-
-    def to_text(self) -> str:
-        lines = ["Reduction summary", "================="]
-        lines.append(f"requirement threshold: {self.requirement_threshold}")
-        lines.append(f"knob threshold:        {self.knob_threshold}")
-        lines.append("")
-        lines.append("kept requirements: " + ", ".join(self.kept_requirements))
-        for rec in self.removed_requirements:
-            lines.append(f"  removed {rec.describe()}")
-        lines.append("kept monitors:     " + ", ".join(self.kept_monitors))
-        for rec in self.removed_monitors:
-            lines.append(f"  removed {rec.describe()}")
-        lines.append("")
-        lines.append("requirement -> monitor")
-        for req, m in self.requirement_to_monitor.items():
-            lines.append(f"  {req:<14} -> {m.monitor} (r = {m.coefficient:+.4f})")
-        lines.append("")
-        lines.append("selected knobs")
-        for k in self.selected_knobs:
-            lines.append(f"  {k.knob:<16} via {k.monitor} (r = {k.coefficient:+.4f})")
-        lines.append("rejected knobs")
-        for k in self.rejected_knobs:
-            if k.monitor:
-                lines.append(f"  {k.knob:<16} best {k.monitor} (r = {k.coefficient:+.4f})")
-            else:
-                lines.append(f"  {k.knob:<16} no defined correlation")
-        return "\n".join(lines) + "\n"
 
     def coefficients_csv(self) -> str:
         """Knob-by-monitor coefficient table as CSV text."""
@@ -368,50 +326,20 @@ class ReductionReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReductionReport":
-        def records(items):
-            return tuple(
-                RemovalRecord(
-                    removed=d["removed"],
-                    reason=d["reason"],
-                    partner=d.get("partner"),
-                    coefficient=d.get("coefficient"),
-                    removed_sum=d.get("removed_sum"),
-                    partner_sum=d.get("partner_sum"),
-                )
-                for d in items
-            )
-
-        def selections(items):
-            return tuple(
-                KnobSelection(d["knob"], d["monitor"], d["coefficient"]) for d in items
-            )
-
         return cls(
             requirement_threshold=data["thresholds"]["requirement"],
             knob_threshold=data["thresholds"]["knob"],
             kept_requirements=tuple(data["kept_requirements"]),
-            removed_requirements=records(data["removed_requirements"]),
+            removed_requirements=tuple(RemovalRecord(**d) for d in data["removed_requirements"]),
             kept_monitors=tuple(data["kept_monitors"]),
-            removed_monitors=records(data["removed_monitors"]),
+            removed_monitors=tuple(RemovalRecord(**d) for d in data["removed_monitors"]),
             requirement_to_monitor={
-                req: MonitorMatch(d["monitor"], d["coefficient"])
-                for req, d in data["requirement_to_monitor"].items()
+                req: MonitorMatch(**d) for req, d in data["requirement_to_monitor"].items()
             },
-            selected_knobs=selections(data["selected_knobs"]),
-            rejected_knobs=selections(data["rejected_knobs"]),
+            selected_knobs=tuple(KnobSelection(**d) for d in data["selected_knobs"]),
+            rejected_knobs=tuple(KnobSelection(**d) for d in data["rejected_knobs"]),
             knob_coefficients=CorrelationMatrix.from_json_dict(data["knob_coefficients"]),
         )
-
-
-def _removal_json(rec: RemovalRecord) -> dict:
-    return {
-        "removed": rec.removed,
-        "reason": rec.reason,
-        "partner": rec.partner,
-        "coefficient": rec.coefficient,
-        "removed_sum": rec.removed_sum,
-        "partner_sum": rec.partner_sum,
-    }
 
 
 def reduce(

@@ -305,32 +305,6 @@ class ValidationResult:
             "reduced_improvement_vs_baseline": self.reduced_improvement,
         }
 
-    def to_text(self, dataset: SweepDataset) -> str:
-        lines = ["validation of the reduced-space pick", ""]
-        names = dataset.space.names
-        lines.append(
-            "oracle pick:  "
-            + ", ".join(f"{n}={v}" for n, v in zip(names, self.oracle.config.labels(dataset.space)))
-        )
-        lines.append(
-            "reduced pick: "
-            + ", ".join(f"{n}={v}" for n, v in zip(names, self.reduced.config.labels(dataset.space)))
-        )
-        lines.append(f"picks agree: {'yes' if self.picks_agree else 'no'}")
-        lines.append("")
-        lines.append("relative difference per requirement (positive favors reduced):")
-        for name, pct in self.percent_differences.items():
-            lines.append(f"  {name:15s} {pct:+.4%}")
-        lines.append(f"worst regression: {self.max_negative_pct:.4%}")
-        lines.append("")
-        lines.append("improvement over baseline (ratio, higher is better):")
-        for name in REQUIREMENT_NAMES:
-            o = self.oracle_improvement[name]
-            r = self.reduced_improvement[name]
-            fmt = lambda v: "n/a" if v is None else f"{v:.3f}x"
-            lines.append(f"  {name:15s} oracle {fmt(o):>9s}   reduced {fmt(r):>9s}")
-        return "\n".join(lines)
-
 
 def validate(
     dataset: SweepDataset,

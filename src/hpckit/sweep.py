@@ -13,7 +13,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -385,11 +385,6 @@ class SweepDataset:
                 return row
         raise KeyError(f"no row for configuration {config.levels}")
 
-    def with_metadata(self, **extra) -> "SweepDataset":
-        md = dict(self.metadata)
-        md.update(extra)
-        return replace(self, metadata=md)
-
 
 def export_csv(ds: SweepDataset, path_or_file) -> None:
     """Write a dataset as UTF-8 CSV with comment-line metadata.
@@ -405,8 +400,16 @@ def export_csv(ds: SweepDataset, path_or_file) -> None:
 
 
 def _write_csv(ds: SweepDataset, fh) -> None:
+    lines = []
     for key in sorted(ds.metadata):
-        fh.write(f"# {key}: {ds.metadata[key]}\n")
+        value = str(ds.metadata[key])
+        if ":" in key or any(c in key + value for c in "\r\n"):
+            raise ValueError(
+                f"metadata key {key!r}: keys may not contain ':' and neither keys "
+                "nor values may contain line breaks"
+            )
+        lines.append(f"# {key}: {value}\n")
+    fh.writelines(lines)
     writer = csv.writer(fh, lineterminator="\n")
     header = [f"knob:{n}" for n in ds.space.names]
     header += [f"mon:{n}" for n in MONITOR_NAMES]
@@ -441,18 +444,27 @@ def ingest_csv(path_or_file, space: KnobSpace) -> SweepDataset:
         return _read_csv(fh, space)
 
 
-def _read_csv(fh, space: KnobSpace) -> SweepDataset:
+def split_metadata(lines) -> tuple[dict[str, str], list[str]]:
+    """Split sweep CSV lines into comment metadata and non-blank data lines.
+
+    Reads back exactly what the writer's ``# key: value`` lines hold.
+    Comment lines without a ``:`` carry no metadata and are skipped.
+    """
     metadata = {}
-    rows_text = []
-    for line in fh:
+    data = []
+    for line in lines:
         if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
-                metadata[key.strip()] = val.strip()
-            continue
-        if line.strip():
-            rows_text.append(line)
+            body = line[1:].rstrip("\r\n")
+            key, sep, value = body.removeprefix(" ").partition(":")
+            if sep:
+                metadata[key] = value.removeprefix(" ")
+        elif line.strip():
+            data.append(line)
+    return metadata, data
+
+
+def _read_csv(fh, space: KnobSpace) -> SweepDataset:
+    metadata, rows_text = split_metadata(fh)
     if not rows_text:
         raise IngestionError("empty file: no header row")
 
@@ -536,9 +548,3 @@ def load_knob_space(path) -> KnobSpace:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return KnobSpace.from_json_dict(data)
-
-
-def save_knob_space(space: KnobSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space.to_json_dict(), fh, indent=2)
-        fh.write("\n")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hpckit import cli
+from hpckit.sweep import REQUIREMENT_NAMES
 
 
 def run(*args) -> int:
@@ -162,8 +163,29 @@ def test_report_consumes_artifacts_only(tmp_path):
     assert again.read_text() in first.decode() or again.stat().st_size > 0
 
 
+def test_stage_text_is_what_report_renders(tmp_path):
+    paths = run_pipeline(tmp_path)
+    # report.txt: manifest, title, then one block per artifact
+    blocks = paths["report"].read_text().rstrip("\n").split("\n\n")[2:]
+    sections = {block.split("\n")[0]: block + "\n" for block in blocks}
+    bodies = {}
+    for title, name in (("search", "leaderboard"), ("validation", "table")):
+        bodies[title] = paths[name].read_text().split("\n\n", 1)[1]
+        assert bodies[title] == sections[title]
+    rows = [line.split()[0] for line in bodies["validation"].splitlines()
+            if line.startswith("    ")]
+    assert rows == list(REQUIREMENT_NAMES) * 2
+
+
 def test_report_requires_at_least_one_artifact(tmp_path):
     assert run("report", "--out", tmp_path / "r.txt") == 1
+
+
+def test_report_rejects_json_that_is_not_an_artifact(tmp_path, capsys):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"kept_monitors": []}))
+    assert run("report", "--reduction", bogus, "--out", tmp_path / "r.txt") == 1
+    assert "not a reduction artifact" in capsys.readouterr().err
 
 
 def test_version_flag():
@@ -215,6 +237,112 @@ def test_env_var_is_config_fallback(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["thresholds"]["knob"] == 0.2
 
 
+# Every key of the README's config example, each set to a non-default value.
+README_CONFIG = {
+    "workload": {"mc_iterations": 21000, "deadline_s": 610.0, "servers": 3,
+                 "cores_per_server": 17, "base_seconds": 1.9,
+                 "result_processing_s": 21.0},
+    "effects": {"cpu_power_base_w": 63.0, "cpu_power_exponent": 1.4,
+                "noise": {"time": 0.009, "cpu_power": 0.006},
+                "levels": {"SMT": {"Enable": {"throughput": 1.69, "cpu_power": 1.44}}},
+                "fault": {"probability_scale": 1.1, "repair_intervals": 3}},
+    "metrics": {"mttr_h": 25.0, "required_servers": 3, "availability_target": 0.991,
+                "max_servers": 15, "server_price": 2100.0, "infra_price": 510.0,
+                "energy_price_per_j": 2e-06, "maintenance_rate": 0.02,
+                "performance_max_s": 620.0, "power_max_w": 82.0,
+                "energy_max_j": 49000.0, "availability_min": 0.98,
+                "min_mc_iterations": 10001},
+    "analysis": {"req_threshold": 0.91, "knob_threshold": 0.41,
+                 "weights": {"performance_s": 0.3, "power_w": 0.25, "energy_j": 0.2,
+                             "availability": 0.1, "cost": 0.15}},
+    "baseline": {"DVFS": "2.2GHz", "SMT": "Enable"},
+}
+
+
+def _manifest(path: Path) -> dict:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.loads(text)["manifest"]
+    line = next(l for l in text.splitlines() if l.startswith("# manifest: "))
+    return json.loads(line[len("# manifest: "):])
+
+
+def test_config_keys_land_in_their_fields(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(README_CONFIG))
+    stages = {  # stage -> (arguments, artifacts it writes)
+        "simulate": (["simulate", "--out", "sweep.csv"], ["sweep.csv"]),
+        "derive": (["derive", "--dataset", "sweep.csv", "--out", "derived.csv"],
+                   ["derived.csv"]),
+        "reduce": (["reduce", "--dataset", "derived.csv", "--out", "reduction.json",
+                    "--coefficients", "coefficients.csv"],
+                   ["reduction.json", "coefficients.csv"]),
+        "search": (["search", "--dataset", "derived.csv", "--out", "search.json",
+                    "--leaderboard", "leaderboard.txt"],
+                   ["search.json", "leaderboard.txt"]),
+        "validate": (["validate", "--dataset", "derived.csv", "--reduction", "reduction.json",
+                      "--out", "validation.json", "--table", "improvement.txt"],
+                     ["validation.json", "improvement.txt"]),
+    }
+    for argv, _ in stages.values():
+        assert run("--config", "cfg.json", "--deterministic", *argv) == 0
+    config = {stage: _manifest(Path(outs[0]))["config"] for stage, (_, outs) in stages.items()}
+
+    effects = config["simulate"]["effects"]
+    assert config["simulate"]["workload"] == README_CONFIG["workload"]
+    for key in ("cpu_power_base_w", "cpu_power_exponent"):
+        assert effects[key] == README_CONFIG["effects"][key]
+    for section in ("noise", "fault"):
+        for key, value in README_CONFIG["effects"][section].items():
+            assert effects[section][key] == value, (section, key)
+    for key, value in README_CONFIG["effects"]["levels"]["SMT"]["Enable"].items():
+        assert effects["levels"]["SMT"]["Enable"][key] == value, key
+    for stage in ("derive", "search", "validate"):
+        assert config[stage]["metrics"] == README_CONFIG["metrics"], stage
+    # metrics keys whose model field has another name
+    renamed = {"mttr_h": "server_mttr", "infra_price": "infrastructure_price",
+               "energy_price_per_j": "energy_price", "performance_max_s": "performance_max",
+               "power_max_w": "power_max", "energy_max_j": "energy_max"}
+    models = cli.build_metrics(README_CONFIG)
+    for key, value in README_CONFIG["metrics"].items():
+        field = renamed.get(key, key)
+        assert [getattr(m, field) for m in models if hasattr(m, field)] == [value], key
+    analysis = README_CONFIG["analysis"]
+    assert config["reduce"]["analysis"] == {k: analysis[k] for k in ("req_threshold",
+                                                                     "knob_threshold")}
+    assert config["search"]["analysis"] == {"weights": analysis["weights"]}
+    baseline = config["validate"]["baseline"]
+    assert {k: baseline[k] for k in README_CONFIG["baseline"]} == README_CONFIG["baseline"]
+
+    # each stage's manifest config, fed back as --config, reproduces its artifacts
+    for stage, (argv, outs) in stages.items():
+        before = {name: Path(name).read_bytes() for name in outs}
+        Path("manifest.json").write_text(json.dumps(config[stage]))
+        for name in outs:
+            Path(name).unlink()
+        assert run("--config", "manifest.json", "--deterministic", *argv) == 0
+        for name in outs:
+            assert Path(name).read_bytes() == before[name], (stage, name)
+
+
+def test_mc_iterations_below_the_floor_exit_one(tmp_path, capsys):
+    paths = run_pipeline(tmp_path)  # 20000 iterations by default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metrics": {"min_mc_iterations": 30000}}))
+    stages = (
+        ["derive", "--dataset", paths["sweep"], "--out", tmp_path / "d.csv"],
+        ["search", "--dataset", paths["derived"], "--out", tmp_path / "s.json",
+         "--leaderboard", tmp_path / "l.txt"],
+        ["validate", "--dataset", paths["derived"], "--reduction", paths["reduction"],
+         "--out", tmp_path / "v.json", "--table", tmp_path / "t.txt"],
+    )
+    capsys.readouterr()
+    for argv in stages:
+        assert run("--config", cfg, *argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "20000" in err and "30000" in err, err
+
+
 def test_unknown_config_section_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"misc": {}}))
@@ -227,6 +355,17 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"metrics": {"server_prize": 100}}))
     assert run("--config", cfg, "simulate", "--out", tmp_path / "s.csv") == 1
     assert "server_prize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"effects": 5}, {"effects": {"levels": []}}, {"effects": {"levels": {"SMT": 3}}},
+    {"metrics": 5}, {"analysis": 5}, {"analysis": {"weights": 5}}, {"baseline": 5},
+])
+def test_config_section_that_is_not_an_object_exits_one(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("--config", cfg, "simulate", "--out", tmp_path / "s.csv") == 1
+    assert "expected a JSON object" in capsys.readouterr().err
 
 
 def test_custom_space_file(tmp_path):

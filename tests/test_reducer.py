@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpckit.cli import render_reduction
 from hpckit.errors import DegenerateSeriesError, MappingError
 from hpckit.reducer import (
     ReductionReport,
@@ -449,7 +450,7 @@ def test_report_json_round_trip(default_report):
 
 
 def test_report_renders_text_and_csv(default_report):
-    text = default_report.to_text()
+    text = "\n".join(render_reduction(default_report.to_json_dict()))
     assert "DVFS" in text and "execution_time_s" in text
     csv = default_report.coefficients_csv()
     assert csv.splitlines()[0].startswith("knob")

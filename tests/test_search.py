@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpckit.cli import render_validation
 from hpckit.errors import ConfigError, NoFeasibleConfigurationError
 from hpckit.metrics import RequirementSpec
 from hpckit.search import (
@@ -424,6 +425,6 @@ def test_validation_result_serialization(derived_dataset, default_report):
         "reduced_improvement_vs_baseline",
     }
     assert payload["picks_agree"] == result.picks_agree
-    text = result.to_text(derived_dataset)
+    text = "\n".join(render_validation(payload))
     assert "oracle" in text.lower()
     assert "worst regression" in text.lower()
