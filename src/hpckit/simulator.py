@@ -38,6 +38,11 @@ from .sweep import (
 )
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WorkloadParams:
     """Fixed properties of the simulated Monte Carlo batch."""
@@ -50,6 +55,8 @@ class WorkloadParams:
     result_processing_s: float = 20.0
 
     def __post_init__(self):
+        for name in ("mc_iterations", "servers", "cores_per_server"):
+            _require_int(name, getattr(self, name))
         if self.mc_iterations < 1:
             raise ValueError("mc_iterations must be at least 1")
         for name in ("deadline_s", "base_seconds", "result_processing_s"):
@@ -78,9 +85,6 @@ class LevelEffect:
     mpki: float = 1.0
     fit: float = 1.0
     peak_surcharge_w: float = 0.0
-
-
-NEUTRAL_EFFECT = LevelEffect()
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,6 @@ class KnobEffects:
                         "must be non-negative"
                     )
 
-    def level_effect(self, knob_name: str, label: str) -> LevelEffect:
-        return self.levels.get(knob_name, {}).get(label, NEUTRAL_EFFECT)
-
 
 @dataclass(frozen=True)
 class CombinedEffect:
@@ -169,23 +170,24 @@ class CombinedEffect:
 
 
 def combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffects) -> CombinedEffect:
+    """Multiply (or add) the level effects of ``config`` knob by knob, in space order.
+
+    A level without an entry in ``effects.levels`` is skipped: its
+    neutral factors (1.0, or 0.0 for the non-negative watt terms) would
+    leave every product and sum bit for bit unchanged.
+    """
     space.validate_configuration(config)
     frequency = effects.reference_frequency_ghz
-    freq_mult = 1.0
-    cores_mult = 1.0
-    throughput = 1.0
-    cpu_power = 1.0
-    dram_act = 1.0
-    dram_bg = 0.0
-    temp = 1.0
-    mpki = 1.0
-    fit = 1.0
-    surcharge = 0.0
+    freq_mult = cores_mult = throughput = cpu_power = dram_act = 1.0
+    temp = mpki = fit = 1.0
+    dram_bg = surcharge = 0.0
     for knob, idx in zip(space.knobs, config.levels):
         level = knob.levels[idx]
         if knob.name == effects.frequency_knob and level.value is not None:
             frequency = float(level.value)
-        eff = effects.level_effect(knob.name, level.label)
+        eff = effects.levels.get(knob.name, {}).get(level.label)
+        if eff is None:
+            continue
         freq_mult *= eff.frequency
         cores_mult *= eff.cores
         throughput *= eff.throughput
@@ -198,7 +200,7 @@ def combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffect
         surcharge += eff.peak_surcharge_w
     return CombinedEffect(
         frequency_ghz=frequency * freq_mult,
-        usable_cores=space_cores(space, config, effects),
+        usable_cores=cores_mult,
         throughput=throughput,
         cpu_power=cpu_power,
         dram_activity=dram_act,
@@ -210,11 +212,10 @@ def combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffect
     )
 
 
-def space_cores(space: KnobSpace, config: Configuration, effects: KnobEffects) -> float:
-    mult = 1.0
-    for knob, idx in zip(space.knobs, config.levels):
-        mult *= effects.level_effect(knob.name, knob.levels[idx].label).cores
-    return mult
+def _interval_seconds(params: WorkloadParams, eff: CombinedEffect, servers_up: int) -> float:
+    cores = params.cores_per_server * eff.usable_cores
+    rate = servers_up * cores * eff.frequency_ghz * eff.throughput
+    return params.mc_iterations * params.base_seconds / rate + params.result_processing_s
 
 
 def interval_time(
@@ -227,10 +228,7 @@ def interval_time(
     """Noise-free seconds for one interval with ``servers_up`` servers."""
     if servers_up < 1:
         raise ValueError("servers_up must be at least 1")
-    eff = combine_effects(space, config, effects)
-    cores = params.cores_per_server * eff.usable_cores
-    rate = servers_up * cores * eff.frequency_ghz * eff.throughput
-    return params.mc_iterations * params.base_seconds / rate + params.result_processing_s
+    return _interval_seconds(params, combine_effects(space, config, effects), servers_up)
 
 
 class FaultCase(enum.Enum):
@@ -281,6 +279,7 @@ class FaultModel:
     repair_intervals: int = 2
 
     def __post_init__(self):
+        _require_int("repair_intervals", self.repair_intervals)
         if self.probability is not None and not 0.0 <= self.probability < 1.0:
             raise ValueError("probability must lie in [0, 1)")
         if self.probability_scale < 0:
@@ -317,7 +316,7 @@ class SimulationResult:
 
 def trimmed_mean(values) -> float:
     """Mean after dropping the single smallest and largest value."""
-    ordered = sorted(float(v) for v in values)
+    ordered = sorted(map(float, values))
     if not ordered:
         raise ValueError("trimmed_mean needs at least one value")
     if len(ordered) >= 3:
@@ -332,6 +331,11 @@ def trimmed_mean(values) -> float:
 DEFAULT_INTERVALS = 7
 
 
+def _relative_noise(sigma: float, z: list[float]) -> list[float]:
+    """Noise factors ``1 + sigma*z``, floored at 0.05 to keep draws positive."""
+    return [0.05 if (x := 1.0 + sigma * v) < 0.05 else x for v in z]
+
+
 def simulate_config_detailed(
     space: KnobSpace,
     config: Configuration,
@@ -341,38 +345,44 @@ def simulate_config_detailed(
     n_intervals: int = DEFAULT_INTERVALS,
     seed: int = 0,
 ) -> SimulationResult:
-    """Measure one configuration, returning monitors and interval log."""
+    """Measure one configuration, returning monitors and interval log.
+
+    The configuration draws from its own stream,
+    ``default_rng([seed, rank])`` with ``rank`` its position in
+    ``enumerate_configs(space)``: first 7n+1 standard normals, n each
+    for cpu power, dram power, peak margin, temperature, ipc and mpki,
+    one for the FIT rate and n for the interval time; then the fault
+    uniforms: per interval, one for each server not under repair and
+    one more for the failure point if a server failed.
+    """
+    _require_int("n_intervals", n_intervals)
     if n_intervals < 5:
         raise ValueError("n_intervals must be at least 5 for a trimmed mean")
-    space.validate_configuration(config)
-    rank = enumeration_rank(space, config)
-    rng = np.random.default_rng([int(seed), rank])
     eff = combine_effects(space, config, effects)
+    rng = np.random.default_rng([int(seed), enumeration_rank(space, config)])
     noise = effects.noise
-
     n = n_intervals
+    servers = params.servers
 
-    def rel_noise(sigma: float, count: int = 1) -> np.ndarray:
-        return np.clip(rng.normal(1.0, sigma, count), 0.05, None)
-
-    cpu_noise = rel_noise(noise.cpu_power, n)
-    dram_noise = rel_noise(noise.dram_power, n)
-    peak_noise = rel_noise(noise.peak_margin, n)
-    temp_noise = rng.normal(0.0, noise.temperature_c, n)
-    ipc_noise = rel_noise(noise.ipc, n)
-    mpki_noise = rel_noise(noise.mpki, n)
-    fit_noise = float(rel_noise(noise.fit)[0])
-    time_noise = rel_noise(noise.time, n)
+    # Generator.normal(loc, s) is loc + s*z on the same standard normal z,
+    # so one draw of all the normals keeps every value bit for bit.
+    z = rng.standard_normal(7 * n + 1).tolist()
+    cpu_z, dram_z, peak_z, temp_z, ipc_z, mpki_z = (z[k * n:(k + 1) * n] for k in range(6))
+    fit_noise = _relative_noise(noise.fit, z[6 * n:6 * n + 1])[0]
+    time_noise = _relative_noise(noise.time, z[6 * n + 1:])
+    # The most an interval draws is one uniform per server plus the failure point.
+    uniforms = iter(rng.random(n * (servers + 1)).tolist())
 
     fit = effects.base_fit * eff.fit * fit_noise
-    nominal = interval_time(space, config, params, effects, params.servers)
+    times = [0.0] + [_interval_seconds(params, eff, up) for up in range(1, servers + 1)]
+    nominal = times[servers]
     p_fail = fault_model.per_interval_probability(fit, nominal / 3600.0)
 
-    down = [0] * params.servers
+    down = [0] * servers
     records: list[IntervalRecord] = []
     fault_free_times: list[float] = []
     for i in range(n):
-        servers_up = sum(1 for d in down if d == 0)
+        servers_up = down.count(0)
         down = [max(0, d - 1) for d in down]
         if servers_up == 0:
             # Whole pool offline: the interval is lost outright.
@@ -380,10 +390,10 @@ def simulate_config_detailed(
                 IntervalRecord(2.0 * params.deadline_s, FaultCase.CASE3, 0)
             )
             continue
-        t0 = interval_time(space, config, params, effects, servers_up) * float(time_noise[i])
+        t0 = times[servers_up] * time_noise[i]
         failures = 0
-        for s in range(params.servers):
-            if down[s] == 0 and rng.random() < p_fail:
+        for s in range(servers):
+            if down[s] == 0 and next(uniforms) < p_fail:
                 failures += 1
                 down[s] = fault_model.repair_intervals
         if failures == 0:
@@ -391,16 +401,16 @@ def simulate_config_detailed(
             fault_free_times.append(t0)
             continue
         survivors = servers_up - failures
-        done = float(rng.random())
+        done = next(uniforms)
         if survivors == 0:
             finish = max(2.0 * params.deadline_s, 2.0 * t0)
         else:
             # Work done before the failure stands; the rest is
             # reassigned across the surviving servers.
             finish = done * t0 + (1.0 - done) * t0 * servers_up / survivors
-        remaining = sum(1 for d in down if d == 0)
+        remaining = down.count(0)
         outcome = classify_fault_outcome(
-            finish - t0, finish, params.deadline_s, remaining, params.servers
+            finish - t0, finish, params.deadline_s, remaining, servers
         )
         records.append(IntervalRecord(finish, outcome, servers_up))
 
@@ -410,28 +420,29 @@ def simulate_config_detailed(
         execution_time = nominal
 
     f_ratio = eff.frequency_ghz / effects.reference_frequency_ghz
-    cpu_draws = (
-        effects.cpu_power_base_w
-        * f_ratio**effects.cpu_power_exponent
-        * eff.cpu_power
-        * cpu_noise
-    )
-    dram_draws = (
+    cpu_w = effects.cpu_power_base_w * f_ratio**effects.cpu_power_exponent * eff.cpu_power
+    cpu_draws = [cpu_w * r for r in _relative_noise(noise.cpu_power, cpu_z)]
+    dram_w = (
         effects.dram_background_w
         + eff.dram_background_w
         + effects.dram_activity_w * f_ratio * eff.dram_activity
-    ) * dram_noise
-    peak_draws = (
-        cpu_draws + dram_draws + effects.peak_margin_w * peak_noise + eff.peak_surcharge_w
     )
-    temp_draws = (
+    dram_draws = [dram_w * r for r in _relative_noise(noise.dram_power, dram_z)]
+    peak_draws = [
+        c + d + effects.peak_margin_w * r + eff.peak_surcharge_w
+        for c, d, r in zip(cpu_draws, dram_draws, _relative_noise(noise.peak_margin, peak_z))
+    ]
+    temp_draws = [
         effects.temperature_ambient_c
-        + effects.temperature_per_watt * cpu_draws * eff.temperature
-        + temp_noise
-    )
+        + effects.temperature_per_watt * c * eff.temperature
+        + (0.0 + noise.temperature_c * v)  # as Generator.normal(0.0, s) gave it
+        for c, v in zip(cpu_draws, temp_z)
+    ]
     cores = params.cores_per_server * eff.usable_cores
-    ipc_draws = effects.ipc_per_core * cores * eff.throughput * ipc_noise
-    mpki_draws = effects.mpki_base * eff.mpki * mpki_noise
+    ipc = effects.ipc_per_core * cores * eff.throughput
+    ipc_draws = [ipc * r for r in _relative_noise(noise.ipc, ipc_z)]
+    mpki = effects.mpki_base * eff.mpki
+    mpki_draws = [mpki * r for r in _relative_noise(noise.mpki, mpki_z)]
 
     server_mtbf = 1e9 / fit
     monitors = MonitorVector(
@@ -448,20 +459,6 @@ def simulate_config_detailed(
         opex=0.0,
     )
     return SimulationResult(monitors, tuple(records))
-
-
-def simulate_config(
-    space: KnobSpace,
-    config: Configuration,
-    params: WorkloadParams,
-    effects: KnobEffects,
-    fault_model: FaultModel,
-    n_intervals: int = DEFAULT_INTERVALS,
-    seed: int = 0,
-) -> MonitorVector:
-    return simulate_config_detailed(
-        space, config, params, effects, fault_model, n_intervals, seed
-    ).monitors
 
 
 def parameters_digest(

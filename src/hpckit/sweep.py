@@ -260,10 +260,10 @@ class MonitorVector:
     opex: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v):
-                raise ValueError(f"monitor {f.name} must be finite, got {v!r}")
+        for name in _MONITOR_ATTR.values():
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"monitor {name} must be finite, got {v!r}")
         if self.execution_time <= 0:
             raise ValueError("execution_time must be positive")
         for name in ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex"):
@@ -417,8 +417,10 @@ def _write_csv(ds: SweepDataset, fh) -> None:
     if derived:
         header += [f"req:{n}" for n in REQUIREMENT_NAMES]
     writer.writerow(header)
+    # rows were checked against the space when the dataset was built
+    labels = [[lv.label for lv in k.levels] for k in ds.space.knobs]
     for row in ds.rows:
-        record = list(row.config.labels(ds.space))
+        record = [names[i] for names, i in zip(labels, row.config.levels)]
         record += [render_value(row.monitors.value(n)) for n in MONITOR_NAMES]
         if derived:
             record += [render_value(row.requirements.value(n)) for n in REQUIREMENT_NAMES]

@@ -368,6 +368,21 @@ def test_config_section_that_is_not_an_object_exits_one(tmp_path, capsys, config
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"workload": {"servers": 2.5}}, "servers"),
+    ({"workload": {"cores_per_server": 16.5}}, "cores_per_server"),
+    ({"workload": {"mc_iterations": 20000.5}}, "mc_iterations"),
+    ({"effects": {"fault": {"repair_intervals": 1.5}}}, "repair_intervals"),
+])
+def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    assert run("--config", cfg, "simulate", "--out", out) == 1
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_space_file(tmp_path):
     space_file = tmp_path / "space.json"
     space_file.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Synthetic cluster measurement: timing model, faults, sweep generation."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -25,7 +26,6 @@ from hpckit.simulator import (
     generate_sweep,
     interval_time,
     parameters_digest,
-    simulate_config,
     simulate_config_detailed,
     trimmed_mean,
 )
@@ -202,16 +202,19 @@ def test_same_seed_reproduces_the_monitor_vector(default_space):
     effects = default_effects()
     fault = default_fault_model()
     config = Configuration((1, 1, 0, 1, 0, 1))
-    a = simulate_config(default_space, config, params, effects, fault, seed=123)
-    b = simulate_config(default_space, config, params, effects, fault, seed=123)
+    a = simulate_config_detailed(default_space, config, params, effects, fault,
+                                 seed=123).monitors
+    b = simulate_config_detailed(default_space, config, params, effects, fault,
+                                 seed=123).monitors
     assert a == b
-    c = simulate_config(default_space, config, params, effects, fault, seed=124)
+    c = simulate_config_detailed(default_space, config, params, effects, fault,
+                                 seed=124).monitors
     assert a != c
 
 
 def test_simulation_rejects_too_few_intervals(default_space):
     with pytest.raises(ValueError):
-        simulate_config(
+        simulate_config_detailed(
             default_space, default_space.baseline_configuration(),
             default_workload(), default_effects(), default_fault_model(),
             n_intervals=4,
@@ -229,6 +232,27 @@ def test_workload_params_enforce_accuracy_floor():
         WorkloadParams(deadline_s=0.0)
     with pytest.raises(ValueError):
         WorkloadParams(servers=0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: WorkloadParams(servers=2.5), "servers"),
+    (lambda: WorkloadParams(servers=True), "servers"),
+    (lambda: WorkloadParams(cores_per_server=16.5), "cores_per_server"),
+    (lambda: WorkloadParams(mc_iterations=20000.5), "mc_iterations"),
+    (lambda: WorkloadParams(mc_iterations=20000.0), "mc_iterations"),
+    (lambda: FaultModel(repair_intervals=1.5), "repair_intervals"),
+    (lambda: FaultModel(repair_intervals=False), "repair_intervals"),
+    (lambda: simulate_config_detailed(
+        default_knob_space(), default_knob_space().baseline_configuration(),
+        default_workload(), default_effects(), default_fault_model(), n_intervals=7.0),
+     "n_intervals"),
+    (lambda: generate_sweep(space_of(2), default_workload(), default_effects(),
+                            default_fault_model(), seed=1, n_intervals=True),
+     "n_intervals"),
+])
+def test_integer_fields_reject_non_integers(build, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build()
 
 
 def test_noise_params_reject_negative_levels():
@@ -250,14 +274,31 @@ def test_dvfs_monotone_in_time_and_power(others, seed):
     effects = default_effects()
     fault = default_fault_model()
     monitors = [
-        simulate_config(space, Configuration((lvl, *others)), params, effects,
-                        fault, seed=seed)
+        simulate_config_detailed(space, Configuration((lvl, *others)), params, effects,
+                                 fault, seed=seed).monitors
         for lvl in range(4)
     ]
     times = [m.execution_time for m in monitors]
     powers = [m.cpu_power for m in monitors]
     assert all(a >= b for a, b in zip(times, times[1:]))
     assert all(a <= b for a, b in zip(powers, powers[1:]))
+
+
+def test_a_fault_can_make_a_faster_dvfs_level_slower():
+    # each level draws its faults from its own [seed, rank] stream, so one
+    # fault can cost the faster level a server and make it the slower run
+    space = default_knob_space()
+    args = (default_workload(), default_effects(), default_fault_model())
+    slower, faster = (
+        simulate_config_detailed(space, Configuration((lvl, 0, 1, 0, 1, 0)), *args,
+                                 seed=89206)
+        for lvl in (2, 3)
+    )
+    assert all(rec.outcome is FaultCase.NO_FAULT for rec in slower.intervals)
+    assert FaultCase.CASE1 in {rec.outcome for rec in faster.intervals}
+    assert faster.intervals[-1].servers_up < slower.intervals[-1].servers_up
+    assert faster.monitors.execution_time > slower.monitors.execution_time
+    assert faster.monitors.cpu_power > slower.monitors.cpu_power
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,10 +312,10 @@ def test_redundancy_trades_time_for_reliability(front, seed):
     params = default_workload()
     effects = default_effects()
     fault = default_fault_model()
-    off = simulate_config(space, Configuration((*front, 0)), params, effects,
-                          fault, seed=seed)
-    on = simulate_config(space, Configuration((*front, 1)), params, effects,
-                         fault, seed=seed)
+    off = simulate_config_detailed(space, Configuration((*front, 0)), params, effects,
+                                   fault, seed=seed).monitors
+    on = simulate_config_detailed(space, Configuration((*front, 1)), params, effects,
+                                  fault, seed=seed).monitors
     # halved cores can only slow the run down
     assert on.execution_time >= off.execution_time
     # the lower FIT rate can only raise server MTBF, hence availability
@@ -313,23 +354,65 @@ def test_sweep_metadata_records_provenance(raw_dataset):
 
 
 def test_success_fraction_accounting_matches_interval_log():
-    space = space_of(2, 2)
-    params = default_workload()
     effects = default_effects()
-    fault = FaultModel(probability=0.35, repair_intervals=1)
-    ds = generate_sweep(space, params, effects, fault, seed=5)
-    good = 0
-    total = 0
-    for config in [r.config for r in ds.rows]:
-        detail = simulate_config_detailed(space, config, params, effects,
-                                          fault, seed=5)
-        bad = sum(1 for r in detail.intervals
-                  if r.outcome in (FaultCase.CASE2, FaultCase.CASE3))
-        frac = (len(detail.intervals) - bad) / len(detail.intervals)
-        assert detail.success_fraction == frac
-        good += len(detail.intervals) - bad
-        total += len(detail.intervals)
-    assert ds.metadata["interval_success_fraction"] == format(good / total, ".6f")
+    cases = [
+        (space_of(2, 2), default_workload(), FaultModel(probability=0.35, repair_intervals=1)),
+        # heavy faults on 3 servers: absorbed faults, misses with a server
+        # offline and whole-pool outages all occur
+        (space_of(3, 2, 2), WorkloadParams(servers=3),
+         FaultModel(probability=0.6, repair_intervals=1)),
+    ]
+    for space, params, fault in cases:
+        ds = generate_sweep(space, params, effects, fault, seed=5)
+        assert len(ds) == space.size()
+        good = 0
+        total = 0
+        records = []
+        for row in ds.rows:
+            detail = simulate_config_detailed(space, row.config, params, effects,
+                                              fault, seed=5)
+            assert detail.monitors == row.monitors
+            bad = sum(1 for r in detail.intervals
+                      if r.outcome in (FaultCase.CASE2, FaultCase.CASE3))
+            frac = (len(detail.intervals) - bad) / len(detail.intervals)
+            assert detail.success_fraction == frac
+            good += len(detail.intervals) - bad
+            total += len(detail.intervals)
+            records.extend(detail.intervals)
+        assert ds.metadata["interval_success_fraction"] == format(good / total, ".6f")
+    outcomes = {r.outcome for r in records}
+    assert {FaultCase.CASE1, FaultCase.CASE3} <= outcomes
+    assert any(r.servers_up == 0 for r in records)
+
+
+# SHA-256 of export_csv_string(generate_sweep(...)) on the default space and
+# effects, recorded before the simulator's hot path was rewritten. A change
+# to the random stream, the float operations or their order shows here.
+PINNED_SWEEP_DIGESTS = [
+    (12, WorkloadParams(), FaultModel(),
+     "d047cc574cd150136aef2f27f6cc6d94ee3eb0ab73b8455440e6bc075bef77e9"),
+    (13, WorkloadParams(), FaultModel(),
+     "90c215d588e5ba9013d80b78b77557bfcf0980351d914c668cfd070921228af7"),
+    (14, WorkloadParams(), FaultModel(),
+     "35b2be26b8530ff0a926ca834266f068d6cfdf8e6b148d78afafc4a7e5d215ff"),
+    (15, WorkloadParams(), FaultModel(),
+     "2a9d4bf0d7a3588226816bd0a83acee7c3c0b546422c9ccf6b6fdd27ce9c2cbf"),
+    (16, WorkloadParams(), FaultModel(),
+     "75a44652516e4df4375c9e1238614d11cabfe181ceaf0e9087d4193391b69967"),
+    (12, WorkloadParams(servers=1), FaultModel(probability=0.3),
+     "1f344f87b70fef344381509b7eb909e6ac5e06b77605abcf26459e0334eecb92"),
+    (12, WorkloadParams(servers=3), FaultModel(probability=0.3),
+     "65055c17926f93df54b22e0a04e90624d4a3b5f498a911208c5d7fa3b37b8424"),
+    (12, WorkloadParams(), FaultModel(probability=0.6, repair_intervals=0),
+     "4ca34f53ddcb2bd9c406ed2afdf53e7213bd1728e3d45d0f9931427928cda1f4"),
+]
+
+
+@pytest.mark.parametrize("seed, params, fault, digest", PINNED_SWEEP_DIGESTS)
+def test_sweep_bytes_match_pinned_digests(default_space, seed, params, fault, digest):
+    ds = generate_sweep(default_space, params, default_effects(), fault, seed)
+    text = export_csv_string(ds)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_parameters_digest_is_stable_and_sensitive(default_space):
