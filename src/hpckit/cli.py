@@ -28,7 +28,7 @@ from .reducer import (
     ReductionReport,
     reduce,
 )
-from .search import REQUIREMENT_NAMES, is_feasible, oracle_best, score_requirements, validate
+from .search import REQUIREMENT_NAMES, feasible_rows, oracle_best, score_requirements, validate
 from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
 from .sweep import (
     Configuration,
@@ -440,15 +440,16 @@ def cmd_reduce(args, cfg: dict) -> int:
 
 def _leaderboard_rows(ds: SweepDataset, spec: RequirementSpec,
                       weights: dict[str, float] | None, top: int) -> list[dict]:
-    scores = score_requirements(ds, weights)
-    order = sorted(range(len(ds.rows)), key=lambda i: (scores[i], i))
+    scores = score_requirements(ds, weights).tolist()
+    feasible = feasible_rows(ds, spec).tolist()
+    order = sorted(range(len(scores)), key=scores.__getitem__)
     entries = []
-    for rank, i in enumerate((j for j in order if is_feasible(ds.rows[j], spec)), start=1):
-        row = ds.rows[i]
+    for rank, i in enumerate((j for j in order if feasible[j]), start=1):
+        row = ds.row(i)
         entries.append({
             "rank": rank,
             "configuration": dict(zip(ds.space.names, row.config.labels(ds.space))),
-            "score": float(scores[i]),
+            "score": scores[i],
             "requirements": {n: row.requirements.value(n) for n in REQUIREMENT_NAMES},
         })
         if rank >= top:
@@ -468,7 +469,7 @@ def cmd_search(args, cfg: dict) -> int:
         raise NoFeasibleConfigurationError(
             f"{args.dataset}: {exc}", exc.least_violating, exc.violation
         ) from exc
-    feasible = sum(1 for row in ds.rows if is_feasible(row, spec))
+    feasible = int(feasible_rows(ds, spec).sum())
     entries = _leaderboard_rows(ds, spec, weights, args.top)
 
     resolved = {

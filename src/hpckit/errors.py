@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the integer check, shared across the toolkit."""
 
 from __future__ import annotations
 
@@ -46,3 +46,9 @@ class NoFeasibleConfigurationError(HpckitError):
         super().__init__(message)
         self.least_violating = least_violating
         self.violation = violation
+
+
+def require_int(name: str, value) -> None:
+    """Reject any value that is not an ``int`` (``bool`` and ``2.0`` included)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -6,6 +6,9 @@ count S is grown until the probability that at least N of S servers
 are up meets the target, and capex/opex then price that S. The derived
 capex and opex are written back into the monitor vector so the cost
 monitors reflect the provisioned system rather than placeholders.
+
+The power, energy, per-server availability and cost formulas take floats
+or whole numpy columns alike; ``derive_dataset`` applies them to columns.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import UnreachableTargetError
-from .sweep import MonitorVector, RequirementValues, SweepDataset, SweepRow
+import numpy as np
+
+from .errors import UnreachableTargetError, require_int
+from .sweep import MONITOR_NAMES, MonitorVector, RequirementValues, SweepDataset
 
 BILLION_HOURS = 1e9  # FIT rates count failures per billion device hours
 
@@ -30,6 +35,8 @@ class AvailabilityModel:
     max_servers: int = 16              # provisioning cap for the search
 
     def __post_init__(self):
+        require_int("required_servers", self.required_servers)
+        require_int("max_servers", self.max_servers)
         if self.server_mttr <= 0:
             raise ValueError("server_mttr must be positive")
         if self.required_servers < 1:
@@ -78,6 +85,7 @@ class RequirementSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.availability_min < 1.0:
             raise ValueError("availability_min must lie in (0, 1)")
+        require_int("min_mc_iterations", self.min_mc_iterations)
         if self.min_mc_iterations < 1:
             raise ValueError("min_mc_iterations must be positive")
 
@@ -90,14 +98,14 @@ class CostBreakdown(NamedTuple):
 
 def derive_power(cpu_power: float, dram_power: float) -> float:
     """Total input power: CPU plus DRAM."""
-    if cpu_power < 0 or dram_power < 0:
+    if np.any(cpu_power < 0) or np.any(dram_power < 0):
         raise ValueError("power readings must be non-negative")
     return cpu_power + dram_power
 
 
 def derive_energy(performance: float, power: float) -> float:
     """Energy to solution: run time times input power."""
-    if performance < 0 or power < 0:
+    if np.any(performance < 0) or np.any(power < 0):
         raise ValueError("performance and power must be non-negative")
     return performance * power
 
@@ -111,7 +119,7 @@ def fit_to_mtbf(fit: float) -> float:
 
 def server_availability(mtbf: float, mttr: float) -> float:
     """Steady-state availability of one server: MTBF / (MTBF + MTTR)."""
-    if mtbf <= 0 or mttr <= 0:
+    if np.any(mtbf <= 0) or np.any(mttr <= 0):
         raise ValueError("mtbf and mttr must be positive")
     return mtbf / (mtbf + mttr)
 
@@ -159,13 +167,43 @@ def derive_cost(servers: int, energy: float, model: CostModel) -> CostBreakdown:
     the energy of one run on every provisioned server plus maintenance
     as a fraction of capex.
     """
-    if servers < 1:
+    if np.any(servers < 1):
         raise ValueError("servers must be at least 1")
-    if energy < 0:
+    if np.any(energy < 0):
         raise ValueError("energy must be non-negative")
     capex = servers * (model.server_price + model.infrastructure_price)
     opex = energy * model.energy_price * servers + model.maintenance_rate * capex
     return CostBreakdown(capex, opex, capex + opex)
+
+
+def _derive_columns(
+    monitors: np.ndarray, avail_model: AvailabilityModel, cost_model: CostModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Requirement columns and provisioned monitor columns for monitor rows.
+
+    Each step is the scalar formula applied elementwise, so every value
+    is the float a per-row loop would give. The availability binomial
+    stays the scalar ``system_availability`` over Python floats: a
+    vectorised power differs from Python's ``**`` in the last bit.
+    """
+    col = {name: j for j, name in enumerate(MONITOR_NAMES)}
+    performance = monitors[:, col["execution_time_s"]]
+    power = derive_power(monitors[:, col["cpu_power_w"]], monitors[:, col["dram_power_w"]])
+    energy = derive_energy(performance, power)
+    server_mtbf = monitors[:, col["server_mtbf_h"]]
+    a = server_availability(server_mtbf, avail_model.server_mttr).tolist()
+    required = avail_model.required_servers
+    servers = [min_servers(required, x, avail_model.availability_target,
+                           avail_model.max_servers) for x in a]
+    availability = [system_availability(n, required, x) for n, x in zip(servers, a)]
+    servers = np.array(servers, dtype=float)  # as Python converts an int times a float
+    cost = derive_cost(servers, energy, cost_model)
+    provisioned = monitors.copy()
+    provisioned[:, col["system_mtbf_h"]] = server_mtbf / servers
+    provisioned[:, col["capex"]] = cost.capex
+    provisioned[:, col["opex"]] = cost.opex
+    requirements = np.column_stack([performance, power, energy, availability, cost.total])
+    return requirements, provisioned
 
 
 def derive_requirements(
@@ -180,34 +218,10 @@ def derive_requirements(
     server count (system_mtbf uses a series model: server MTBF divided
     by the number of provisioned servers).
     """
-    performance = monitors.execution_time
-    power = derive_power(monitors.cpu_power, monitors.dram_power)
-    energy = derive_energy(performance, power)
-
-    a = server_availability(monitors.server_mtbf, avail_model.server_mttr)
-    servers = min_servers(
-        avail_model.required_servers,
-        a,
-        avail_model.availability_target,
-        avail_model.max_servers,
-    )
-    availability = system_availability(servers, avail_model.required_servers, a)
-    cost = derive_cost(servers, energy, cost_model)
-
-    requirements = RequirementValues(
-        performance=performance,
-        power=power,
-        energy=energy,
-        availability=availability,
-        cost=cost.total,
-    )
-    updated = replace(
-        monitors,
-        system_mtbf=monitors.server_mtbf / servers,
-        capex=cost.capex,
-        opex=cost.opex,
-    )
-    return requirements, updated
+    requirements, provisioned = _derive_columns(
+        monitors.as_array()[None, :], avail_model, cost_model)
+    return (RequirementValues(*requirements[0].tolist()),
+            MonitorVector(*provisioned[0].tolist()))
 
 
 def derive_dataset(
@@ -221,10 +235,7 @@ def derive_dataset(
     When ``spec`` is given it is attached to the returned dataset so that
     downstream feasibility filtering uses the same thresholds.
     """
-    rows = []
-    for row in ds.rows:
-        requirements, monitors = derive_requirements(row.monitors, avail_model, cost_model)
-        rows.append(SweepRow(row.config, monitors, requirements))
+    requirements, monitors = _derive_columns(ds.monitors, avail_model, cost_model)
     if spec is not None:
-        return replace(ds, rows=tuple(rows), requirement_spec=spec)
-    return replace(ds, rows=tuple(rows))
+        return replace(ds, monitors=monitors, requirements=requirements, requirement_spec=spec)
+    return replace(ds, monitors=monitors, requirements=requirements)

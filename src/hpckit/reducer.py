@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, MappingError
-from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, SweepDataset, enumeration_rank
+from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, SweepDataset
 
 log = logging.getLogger(__name__)
 
@@ -169,13 +169,15 @@ def prune_correlated(
         else:
             live.append((name, arr))
 
-    order = {name: i for i, (name, _) in enumerate(columns)}
+    # Each pair is correlated once; a removal deletes its row and column,
+    # keeping the live order, so every later scan sees the same matrix
+    # (and the same |r| sums) a fresh computation would give.
+    corr = np.eye(len(live))
+    for i in range(len(live)):
+        for j in range(i + 1, len(live)):
+            corr[i, j] = corr[j, i] = pearson(live[i][1], live[j][1])
     while len(live) >= 2:
         n = len(live)
-        corr = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                corr[i, j] = corr[j, i] = pearson(live[i][1], live[j][1])
         best_pair = None
         best_abs = threshold
         for i in range(n):
@@ -188,25 +190,14 @@ def prune_correlated(
         i, j = best_pair
         # Summed |r| against every other live column decides which
         # member goes; the shared pair entry cancels out.
-        sum_i = float(np.abs(corr[i]).sum() - 1.0)
-        sum_j = float(np.abs(corr[j]).sum() - 1.0)
-        if sum_i < sum_j:
-            drop, keep = i, j
-        elif sum_j < sum_i:
-            drop, keep = j, i
-        else:
-            drop, keep = (j, i) if order[live[j][0]] > order[live[i][0]] else (i, j)
-        removals.append(
-            RemovalRecord(
-                removed=live[drop][0],
-                reason="correlated",
-                partner=live[keep][0],
-                coefficient=float(corr[i, j]),
-                removed_sum=sum_i if drop == i else sum_j,
-                partner_sum=sum_j if drop == i else sum_i,
-            )
-        )
+        sums = {k: float(np.abs(corr[k]).sum() - 1.0) for k in (i, j)}
+        drop, keep = (i, j) if sums[i] < sums[j] else (j, i)
+        removals.append(RemovalRecord(
+            removed=live[drop][0], reason="correlated", partner=live[keep][0],
+            coefficient=float(corr[i, j]), removed_sum=sums[drop], partner_sum=sums[keep],
+        ))
         del live[drop]
+        corr = np.delete(np.delete(corr, drop, axis=0), drop, axis=1)
 
     kept = [name for name, _ in live]
     return kept, removals
@@ -356,14 +347,9 @@ def reduce(
     # Canonicalize row order so the report is bit-identical under any
     # permutation of the input rows: summation order would otherwise
     # leak row order into the last bits of every coefficient.
-    ordered = tuple(
-        sorted(ds.rows, key=lambda r: enumeration_rank(ds.space, r.config))
-    )
-    if ordered != ds.rows:
-        ds = replace(ds, rows=ordered)
-
-    req_columns = [(n, ds.requirement_column(n)) for n in REQUIREMENT_NAMES]
-    mon_columns = [(n, ds.monitor_column(n)) for n in MONITOR_NAMES]
+    order = np.array(sorted(range(len(ds)), key=ds.rank.tolist().__getitem__))
+    req_columns = [(n, ds.requirements[order, j]) for j, n in enumerate(REQUIREMENT_NAMES)]
+    mon_columns = [(n, ds.monitors[order, j]) for j, n in enumerate(MONITOR_NAMES)]
 
     kept_reqs, removed_reqs = prune_correlated(req_columns, requirement_threshold)
     surviving_mons, removed_mons = prune_correlated(mon_columns, requirement_threshold)
@@ -380,7 +366,7 @@ def reduce(
         if name not in mapped:
             removed.append(RemovalRecord(name, "unmapped"))
 
-    knob_columns = [(n, ds.knob_column(n)) for n in ds.space.names]
+    knob_columns = [(n, ds.knob_column(n)[order]) for n in ds.space.names]
     selected, rejected, table = select_knobs(
         knob_columns,
         [c for c in mon_columns if c[0] in kept_monitors],

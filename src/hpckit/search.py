@@ -27,11 +27,11 @@ from .metrics import RequirementSpec
 from .reducer import ReductionReport
 from .sweep import (
     MONITOR_FIELDS,
+    MONITOR_NAMES,
     REQUIREMENT_NAMES,
     Configuration,
     SweepDataset,
     SweepRow,
-    enumeration_rank,
     zscore,
 )
 
@@ -64,17 +64,29 @@ assert set(MONITOR_DIRECTIONS) == {name for name, _ in MONITOR_FIELDS}
 assert set(REQUIREMENT_DIRECTIONS) == set(REQUIREMENT_NAMES)
 
 
+def _meets(requirements: np.ndarray, spec: RequirementSpec):
+    """The feasibility rule over requirement values, one row or many ([..., 5])."""
+    performance, power, energy, availability, _ = requirements.T
+    return (
+        (performance <= spec.performance_max)
+        & (power <= spec.power_max)
+        & (energy <= spec.energy_max)
+        & (availability >= spec.availability_min)
+    )
+
+
 def is_feasible(row: SweepRow, spec: RequirementSpec) -> bool:
     """True when the row meets every threshold (inclusive)."""
-    req = row.requirements
-    if req is None:
+    if row.requirements is None:
         raise ValueError("row has no derived requirement values")
-    return (
-        req.performance <= spec.performance_max
-        and req.power <= spec.power_max
-        and req.energy <= spec.energy_max
-        and req.availability >= spec.availability_min
-    )
+    return bool(_meets(row.requirements.as_array(), spec))
+
+
+def feasible_rows(dataset: SweepDataset, spec: RequirementSpec) -> np.ndarray:
+    """``is_feasible`` for every row at once, as a boolean mask."""
+    if dataset.requirements is None:
+        raise ValueError("dataset has no derived requirement values")
+    return _meets(dataset.requirements, spec)
 
 
 def threshold_violation(row: SweepRow, spec: RequirementSpec) -> float:
@@ -119,14 +131,14 @@ def _combined_zscores(
 def score_requirements(
     dataset: SweepDataset, weights: dict[str, float] | None = None
 ) -> np.ndarray:
-    """Per-row combined requirement score, aligned with dataset.rows.
+    """Per-row combined requirement score, in dataset row order.
 
     With default weights each live requirement contributes 1/5 (0.2)
     of the score; lower scores are better.
     """
     if not dataset.is_derived:
         raise ValueError("dataset has no derived requirement values")
-    if len(dataset.rows) < 2:
+    if len(dataset) < 2:
         raise ValueError("scoring needs at least two rows")
     columns = [
         (name, dataset.requirement_column(name), REQUIREMENT_DIRECTIONS[name])
@@ -164,26 +176,24 @@ class RankedConfig:
 
 def _best_row(
     dataset: SweepDataset,
-    indices: list[int],
+    indices: np.ndarray,
     scores: np.ndarray,
     spec: RequirementSpec,
 ) -> RankedConfig:
-    feasible = [i for i in indices if is_feasible(dataset.rows[i], spec)]
-    if not feasible:
-        worst = min(indices, key=lambda i: threshold_violation(dataset.rows[i], spec))
-        row = dataset.rows[worst]
+    feasible = indices[feasible_rows(dataset, spec)[indices]]
+    if not feasible.size:
+        worst = min(indices.tolist(), key=lambda i: threshold_violation(dataset.row(i), spec))
+        row = dataset.row(worst)
         raise NoFeasibleConfigurationError(
             "no configuration meets every requirement threshold",
             least_violating=row.config,
             violation=threshold_violation(row, spec),
         )
-    best = min(
-        feasible,
-        key=lambda i: (scores[i], enumeration_rank(dataset.space, dataset.rows[i].config)),
-    )
-    return RankedConfig(
-        dataset.rows[best].config, float(scores[best]), True, dataset.rows[best]
-    )
+    # lowest score first, ties to the earliest configuration in enumeration order
+    score, rank = scores.tolist(), dataset.rank.tolist()
+    best = min(feasible.tolist(), key=lambda i: (score[i], rank[i]))
+    row = dataset.row(best)
+    return RankedConfig(row.config, float(scores[best]), True, row)
 
 
 def oracle_best(
@@ -193,11 +203,11 @@ def oracle_best(
 ) -> RankedConfig:
     """Best feasible configuration under the full requirement score."""
     spec = _resolve_spec(dataset, spec)
-    if len(dataset.rows) == 1:
+    if len(dataset) == 1:
         # nothing to rank against; feasibility alone decides
-        return _best_row(dataset, [0], np.zeros(1), spec)
+        return _best_row(dataset, np.zeros(1, dtype=int), np.zeros(1), spec)
     scores = score_requirements(dataset, weights)
-    return _best_row(dataset, list(range(len(dataset.rows))), scores, spec)
+    return _best_row(dataset, np.arange(len(dataset)), scores, spec)
 
 
 def reduced_best(
@@ -226,23 +236,18 @@ def reduced_best(
     pinned = [
         i for i, name in enumerate(dataset.space.names) if name not in selected
     ]
-    indices = [
-        i for i, row in enumerate(dataset.rows)
-        if all(row.config.levels[k] == baseline.levels[k] for k in pinned)
-    ]
+    indices = np.flatnonzero(
+        (dataset.levels[:, pinned] == np.array(baseline.levels)[pinned]).all(axis=1)
+    )
     if len(indices) < 2:
         raise ConfigError("reduced slice has fewer than two rows; cannot rank")
 
-    columns = []
-    for name in report.kept_monitors:
-        values = np.array(
-            [dataset.rows[i].monitors.value(name) for i in indices], dtype=float
-        )
-        columns.append((name, values, MONITOR_DIRECTIONS[name]))
-    slice_scores = _combined_zscores(columns)
-    scores = np.full(len(dataset.rows), math.inf)
-    for pos, i in enumerate(indices):
-        scores[i] = slice_scores[pos]
+    columns = [
+        (name, dataset.monitors[indices, MONITOR_NAMES.index(name)], MONITOR_DIRECTIONS[name])
+        for name in report.kept_monitors
+    ]
+    scores = np.full(len(dataset), math.inf)
+    scores[indices] = _combined_zscores(columns)
     return _best_row(dataset, indices, scores, spec)
 
 
@@ -326,28 +331,14 @@ def validate(
     oracle = oracle_best(dataset, spec, weights)
     reduced = reduced_best(dataset, report, spec, baseline)
 
-    pct: dict[str, float] = {}
-    for name in REQUIREMENT_NAMES:
-        pct[name] = _percent_difference(
-            name,
-            oracle.row.requirements.value(name),
-            reduced.row.requirements.value(name),
-        )
-    max_negative = max(0.0, max(-p for p in pct.values()))
-
-    oracle_imp: dict[str, float | None] = {}
-    reduced_imp: dict[str, float | None] = {}
-    for name in REQUIREMENT_NAMES:
-        base = baseline_row.requirements.value(name)
-        oracle_imp[name] = _improvement_ratio(name, base, oracle.row.requirements.value(name))
-        reduced_imp[name] = _improvement_ratio(name, base, reduced.row.requirements.value(name))
-
+    o, r, b = (row.requirements.value for row in (oracle.row, reduced.row, baseline_row))
+    pct = {name: _percent_difference(name, o(name), r(name)) for name in REQUIREMENT_NAMES}
     return ValidationResult(
         oracle=oracle,
         reduced=reduced,
         baseline_row=baseline_row,
         percent_differences=pct,
-        max_negative_pct=max_negative,
-        oracle_improvement=oracle_imp,
-        reduced_improvement=reduced_imp,
+        max_negative_pct=max(0.0, max(-p for p in pct.values())),
+        oracle_improvement={n: _improvement_ratio(n, b(n), o(n)) for n in REQUIREMENT_NAMES},
+        reduced_improvement={n: _improvement_ratio(n, b(n), r(n)) for n in REQUIREMENT_NAMES},
     )

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import require_int
 from .sweep import (
     Configuration,
     KnobSpace,
@@ -36,11 +37,6 @@ from .sweep import (
     enumerate_configs,
     enumeration_rank,
 )
-
-
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class WorkloadParams:
 
     def __post_init__(self):
         for name in ("mc_iterations", "servers", "cores_per_server"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if self.mc_iterations < 1:
             raise ValueError("mc_iterations must be at least 1")
         for name in ("deadline_s", "base_seconds", "result_processing_s"):
@@ -177,6 +173,11 @@ def combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffect
     leave every product and sum bit for bit unchanged.
     """
     space.validate_configuration(config)
+    return _combine_effects(space, config, effects)
+
+
+def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffects) -> CombinedEffect:
+    """combine_effects for a configuration already checked against ``space``."""
     frequency = effects.reference_frequency_ghz
     freq_mult = cores_mult = throughput = cpu_power = dram_act = 1.0
     temp = mpki = fit = 1.0
@@ -279,7 +280,7 @@ class FaultModel:
     repair_intervals: int = 2
 
     def __post_init__(self):
-        _require_int("repair_intervals", self.repair_intervals)
+        require_int("repair_intervals", self.repair_intervals)
         if self.probability is not None and not 0.0 <= self.probability < 1.0:
             raise ValueError("probability must lie in [0, 1)")
         if self.probability_scale < 0:
@@ -355,11 +356,12 @@ def simulate_config_detailed(
     uniforms: per interval, one for each server not under repair and
     one more for the failure point if a server failed.
     """
-    _require_int("n_intervals", n_intervals)
+    require_int("n_intervals", n_intervals)
     if n_intervals < 5:
         raise ValueError("n_intervals must be at least 5 for a trimmed mean")
-    eff = combine_effects(space, config, effects)
-    rng = np.random.default_rng([int(seed), enumeration_rank(space, config)])
+    rank = enumeration_rank(space, config)  # also checks config against space
+    eff = _combine_effects(space, config, effects)
+    rng = np.random.default_rng([int(seed), rank])
     noise = effects.noise
     n = n_intervals
     servers = params.servers
@@ -513,4 +515,4 @@ def generate_sweep(
         "n_intervals": str(n_intervals),
         "interval_success_fraction": format(good / total, ".6f"),
     }
-    return SweepDataset(space, tuple(rows), metadata)
+    return SweepDataset.from_rows(space, rows, metadata)

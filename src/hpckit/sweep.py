@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -47,6 +48,10 @@ REQUIREMENT_NAMES: tuple[str, ...] = tuple(name for name, _ in REQUIREMENT_FIELD
 
 _MONITOR_ATTR = dict(MONITOR_FIELDS)
 _REQUIREMENT_ATTR = dict(REQUIREMENT_FIELDS)
+_MONITOR_COLUMN = {name: j for j, name in enumerate(MONITOR_NAMES)}
+_REQUIREMENT_COLUMN = {name: j for j, name in enumerate(REQUIREMENT_NAMES)}
+_NON_NEGATIVE_MONITORS = ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex")
+_NON_NEGATIVE_REQUIREMENTS = ("performance", "power", "energy", "cost")
 
 # Numbers are rendered with 12 significant digits so a written file
 # re-reads to the same rendered values.
@@ -266,7 +271,7 @@ class MonitorVector:
                 raise ValueError(f"monitor {name} must be finite, got {v!r}")
         if self.execution_time <= 0:
             raise ValueError("execution_time must be positive")
-        for name in ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex"):
+        for name in _NON_NEGATIVE_MONITORS:
             if getattr(self, name) < 0:
                 raise ValueError(f"monitor {name} must be non-negative")
         if self.peak_power < self.cpu_power:
@@ -298,7 +303,7 @@ class RequirementValues:
                 raise ValueError(f"requirement {f.name} must be finite, got {v!r}")
         if not 0.0 <= self.availability <= 1.0:
             raise ValueError("availability must lie in [0, 1]")
-        for name in ("performance", "power", "energy", "cost"):
+        for name in _NON_NEGATIVE_REQUIREMENTS:
             if getattr(self, name) < 0:
                 raise ValueError(f"requirement {name} must be non-negative")
         if not math.isclose(self.energy, self.performance * self.power,
@@ -324,9 +329,54 @@ class SweepRow:
     requirements: RequirementValues | None = None
 
 
-@dataclass(frozen=True)
+_monitor_tuple = operator.attrgetter(*_MONITOR_ATTR.values())
+_requirement_tuple = operator.attrgetter(*_REQUIREMENT_ATTR.values())
+
+
+# MonitorVector's and RequirementValues' rules, restated for whole
+# columns. The row types keep their scalar checks: the simulator builds
+# one MonitorVector per configuration, and a numpy check per row costs
+# several times more.
+def _bad_monitor_rows(m: np.ndarray) -> np.ndarray:
+    """Rows MonitorVector would reject."""
+    c = dict(zip(_MONITOR_ATTR.values(), m.T))
+    return (
+        ~np.isfinite(m).all(axis=1)
+        | (c["execution_time"] <= 0)
+        | np.any([c[name] < 0 for name in _NON_NEGATIVE_MONITORS], axis=0)
+        | (c["peak_power"] < c["cpu_power"])
+        | (c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0)
+    )
+
+
+def _bad_requirement_rows(r: np.ndarray) -> np.ndarray:
+    """Rows RequirementValues would reject; energy uses math.isclose's exact rule."""
+    c = dict(zip(_REQUIREMENT_ATTR.values(), r.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the finiteness check
+        product = c["performance"] * c["power"]
+        close = np.isfinite(product) & (
+            np.abs(c["energy"] - product)
+            <= np.maximum(1e-9 * np.maximum(np.abs(c["energy"]), np.abs(product)), 1e-9)
+        )
+    return (
+        ~np.isfinite(r).all(axis=1)
+        | ~((c["availability"] >= 0.0) & (c["availability"] <= 1.0))
+        | np.any([c[name] < 0 for name in _NON_NEGATIVE_REQUIREMENTS], axis=0)
+        | ~close
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """A knob space plus one row per swept configuration.
+    """A knob space plus one row per swept configuration, held as columns.
+
+    ``levels`` holds each row's level index per knob (int, [rows, knobs]),
+    ``monitors`` the eleven monitor values (float64, [rows, 11]) and
+    ``requirements`` the five requirement values (float64, [rows, 5]), or
+    None before derivation; all three are read-only, columns in the
+    canonical orders. ``rank`` is each row's position in
+    ``enumerate_configs(space)``. Every column is checked once here;
+    ``row(i)`` and ``rows`` give SweepRow views for row-wise callers.
 
     ``metadata`` holds provenance strings (seed, parameter hash) which
     are written out as comment lines in the CSV form.
@@ -336,54 +386,128 @@ class SweepDataset:
     """
 
     space: KnobSpace
-    rows: tuple[SweepRow, ...]
+    levels: np.ndarray
+    monitors: np.ndarray
+    requirements: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
     requirement_spec: object | None = None
+    rank: np.ndarray = field(init=False, repr=False)
+    _row_of_rank: dict = field(init=False, repr=False)
+    _views: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.rows:
+        sizes = [len(k.levels) for k in self.space.knobs]
+        n = len(self.levels)
+        if not n:
             raise ValueError("dataset must contain at least one row")
-        seen = set()
-        for row in self.rows:
-            self.space.validate_configuration(row.config)
-            if row.config.levels in seen:
-                raise ValueError(f"duplicate configuration {row.config.levels}")
-            seen.add(row.config.levels)
+        for what, dtype, width in (("levels", np.int64, len(sizes)),
+                                   ("monitors", float, len(MONITOR_NAMES)),
+                                   ("requirements", float, len(REQUIREMENT_NAMES))):
+            if (values := getattr(self, what)) is not None:
+                arr = np.array(values, dtype=dtype, order="C")
+                if arr.shape != (n, width):
+                    raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")
+                arr.setflags(write=False)
+                object.__setattr__(self, what, arr)
+        bad = _bad_monitor_rows(self.monitors)
+        if self.requirements is not None:
+            bad |= _bad_requirement_rows(self.requirements)
+        try:  # the mixed-radix enumeration rank; raises for a level out of range
+            rank = np.ravel_multi_index(self.levels.T, sizes)
+        except ValueError:
+            out_of_range = [any(not 0 <= v < size for v, size in zip(row, sizes))
+                            for row in self.levels.tolist()]
+            if not any(out_of_range):
+                raise
+            bad |= out_of_range
+        if (first := np.flatnonzero(bad)).size:
+            i = int(first[0])
+            try:  # the row's own types name what is wrong
+                self.space.validate_configuration(self.row(i).config)
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
+            raise ValueError(f"row {i} failed validation")
+        row_of_rank = {}
+        for i, r in enumerate(rank.tolist()):
+            if row_of_rank.setdefault(r, i) != i:
+                raise ValueError(f"duplicate configuration {tuple(self.levels[i].tolist())}")
+        rank.setflags(write=False)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_row_of_rank", row_of_rank)
+
+    @classmethod
+    def from_rows(cls, space: KnobSpace, rows, metadata=None,
+                  requirement_spec=None) -> "SweepDataset":
+        """Build the columns from SweepRow objects, in the given order."""
+        rows = tuple(rows)
+        if not rows:
+            raise ValueError("dataset must contain at least one row")
+        if len({r.requirements is None for r in rows}) > 1:
+            raise ValueError("either every row has requirement values or none does")
+        return cls(
+            space,
+            [r.config.levels for r in rows],
+            [_monitor_tuple(r.monitors) for r in rows],
+            None if rows[0].requirements is None
+            else [_requirement_tuple(r.requirements) for r in rows],
+            {} if metadata is None else metadata,
+            requirement_spec,
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.levels)
 
     @property
     def is_complete(self) -> bool:
-        return len(self.rows) == self.space.size()
+        return len(self) == self.space.size()
 
     @property
     def is_derived(self) -> bool:
-        return all(r.requirements is not None for r in self.rows)
+        return self.requirements is not None
+
+    def row(self, i: int) -> SweepRow:
+        """A view of row ``i``; the same object on every call."""
+        i = range(len(self))[i]
+        view = self._views.get(i)
+        if view is None:
+            req = self.requirements
+            view = self._views[i] = SweepRow(
+                Configuration(tuple(self.levels[i].tolist())),
+                MonitorVector(*self.monitors[i].tolist()),
+                None if req is None else RequirementValues(*req[i].tolist()),
+            )
+        return view
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(map(self.row, range(len(self))))
 
     def configs(self) -> list[Configuration]:
-        return [r.config for r in self.rows]
+        return [Configuration(tuple(lv)) for lv in self.levels.tolist()]
 
     def monitor_column(self, name: str) -> np.ndarray:
-        if name not in _MONITOR_ATTR:
+        if name not in _MONITOR_COLUMN:
             raise KeyError(f"unknown monitor {name!r}")
-        return np.array([r.monitors.value(name) for r in self.rows], dtype=float)
+        return self.monitors[:, _MONITOR_COLUMN[name]].copy()
 
     def requirement_column(self, name: str) -> np.ndarray:
-        if name not in _REQUIREMENT_ATTR:
+        if name not in _REQUIREMENT_COLUMN:
             raise KeyError(f"unknown requirement {name!r}")
-        if not self.is_derived:
+        if self.requirements is None:
             raise ValueError("dataset has underived rows; derive requirements first")
-        return np.array([r.requirements.value(name) for r in self.rows], dtype=float)
+        return self.requirements[:, _REQUIREMENT_COLUMN[name]].copy()
 
     def knob_column(self, name: str) -> np.ndarray:
-        return encode_knob_column(self.space, name, self.configs())
+        knob = self.space.knob(name)
+        values = np.array([knob.numeric_value(i) for i in range(len(knob.levels))])
+        return values[self.levels[:, self.space.knob_index(name)]]
 
     def row_for(self, config: Configuration) -> SweepRow:
-        for row in self.rows:
-            if row.config == config:
-                return row
-        raise KeyError(f"no row for configuration {config.levels}")
+        try:
+            i = self._row_of_rank[enumeration_rank(self.space, config)]
+        except (KeyError, ValueError):
+            raise KeyError(f"no row for configuration {config.levels}") from None
+        return self.row(i)
 
 
 def export_csv(ds: SweepDataset, path_or_file) -> None:
@@ -399,6 +523,12 @@ def export_csv(ds: SweepDataset, path_or_file) -> None:
             _write_csv(ds, fh)
 
 
+def _csv_cell(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
 def _write_csv(ds: SweepDataset, fh) -> None:
     lines = []
     for key in sorted(ds.metadata):
@@ -410,21 +540,18 @@ def _write_csv(ds: SweepDataset, fh) -> None:
             )
         lines.append(f"# {key}: {value}\n")
     fh.writelines(lines)
-    writer = csv.writer(fh, lineterminator="\n")
     header = [f"knob:{n}" for n in ds.space.names]
     header += [f"mon:{n}" for n in MONITOR_NAMES]
-    derived = ds.is_derived
-    if derived:
+    values = ds.monitors
+    if ds.requirements is not None:
         header += [f"req:{n}" for n in REQUIREMENT_NAMES]
-    writer.writerow(header)
-    # rows were checked against the space when the dataset was built
-    labels = [[lv.label for lv in k.levels] for k in ds.space.knobs]
-    for row in ds.rows:
-        record = [names[i] for names, i in zip(labels, row.config.levels)]
-        record += [render_value(row.monitors.value(n)) for n in MONITOR_NAMES]
-        if derived:
-            record += [render_value(row.requirements.value(n)) for n in REQUIREMENT_NAMES]
-        writer.writerow(record)
+        values = np.hstack([values, ds.requirements])
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    # each label as csv.writer quotes it; '%.12g' % x is format(x, '.12g')
+    cells = [[_csv_cell(lv.label) for lv in k.levels] for k in ds.space.knobs]
+    knob_text = zip(*([c[i] for i in col] for c, col in zip(cells, ds.levels.T.tolist())))
+    fmt = ",".join(["%s"] * len(cells) + ["%" + _FLOAT_FMT] * values.shape[1]) + "\n"
+    fh.writelines(fmt % (*k, *v) for k, v in zip(knob_text, values.tolist()))
 
 
 def export_csv_string(ds: SweepDataset) -> str:
@@ -473,19 +600,11 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     reader = csv.reader(rows_text)
     header = next(reader)
     col_index = {name: i for i, name in enumerate(header)}
-
-    knob_cols = []
-    for name in space.names:
-        key = f"knob:{name}"
+    for key in [f"knob:{n}" for n in space.names] + [f"mon:{n}" for n in MONITOR_NAMES]:
         if key not in col_index:
             raise IngestionError(f"missing column {key!r}")
-        knob_cols.append(col_index[key])
-    mon_cols = []
-    for name in MONITOR_NAMES:
-        key = f"mon:{name}"
-        if key not in col_index:
-            raise IngestionError(f"missing column {key!r}")
-        mon_cols.append(col_index[key])
+    knob_cols = [col_index[f"knob:{n}"] for n in space.names]
+    mon_cols = [col_index[f"mon:{n}"] for n in MONITOR_NAMES]
     has_reqs = all(f"req:{n}" in col_index for n in REQUIREMENT_NAMES)
     any_reqs = any(f"req:{n}" in col_index for n in REQUIREMENT_NAMES)
     if any_reqs and not has_reqs:
@@ -493,9 +612,34 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
         raise IngestionError(f"partial requirement columns; missing req:{missing[0]}")
     req_cols = [col_index[f"req:{n}"] for n in REQUIREMENT_NAMES] if has_reqs else None
 
-    rows = []
+    codes = [{lv.label: i for i, lv in enumerate(k.levels)}.__getitem__ for k in space.knobs]
+    blocks = []
+    try:  # a column at a time, in blocks of rows to bound the memory held as text;
+        # any fault sends the file to the row-wise check below
+        while records := list(itertools.islice(reader, 1024)):
+            if any(len(record) != len(header) for record in records):
+                raise ValueError("ragged row")
+            cells = list(zip(*records))
+            blocks.append((
+                np.array([list(map(code, cells[ci])) for code, ci in zip(codes, knob_cols)]).T,
+                np.array([list(map(float, cells[ci])) for ci in mon_cols + (req_cols or [])]).T,
+            ))
+        if not blocks:
+            raise IngestionError("no rows in the data section")
+        levels, numbers = (np.concatenate(part) for part in zip(*blocks))
+        return SweepDataset(space, levels, numbers[:, :len(mon_cols)],
+                            numbers[:, len(mon_cols):] if req_cols else None, metadata)
+    except (KeyError, ValueError) as exc:
+        records = csv.reader(rows_text)
+        next(records)  # the header
+        _raise_first_bad_row(space, header, records, knob_cols, mon_cols, req_cols)
+        raise IngestionError(str(exc)) from exc
+
+
+def _raise_first_bad_row(space, header, records, knob_cols, mon_cols, req_cols) -> None:
+    """Check the records one by one, raising IngestionError at the first fault."""
     seen = set()
-    for lineno, record in enumerate(reader, start=2):
+    for lineno, record in enumerate(records, start=2):
         if len(record) != len(header):
             raise IngestionError(f"row {lineno}: expected {len(header)} cells, got {len(record)}")
         levels = []
@@ -507,32 +651,17 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
                 raise IngestionError(
                     f"row {lineno}: unknown level {label!r} for knob {knob.name!r}"
                 ) from None
-        config = Configuration(tuple(levels))
-        if config.levels in seen:
-            raise IngestionError(f"row {lineno}: duplicate configuration {config.levels}")
-        seen.add(config.levels)
-
-        mon_values = [_parse_number(record[ci], lineno, header[ci]) for ci in mon_cols]
+        levels = tuple(levels)
+        if levels in seen:
+            raise IngestionError(f"row {lineno}: duplicate configuration {levels}")
+        seen.add(levels)
         try:
-            monitors = MonitorVector(*mon_values)
+            MonitorVector(*(_parse_number(record[ci], lineno, header[ci]) for ci in mon_cols))
+            if req_cols is not None:
+                RequirementValues(
+                    *(_parse_number(record[ci], lineno, header[ci]) for ci in req_cols))
         except ValueError as exc:
             raise IngestionError(f"row {lineno}: {exc}") from exc
-
-        requirements = None
-        if req_cols is not None:
-            req_values = [_parse_number(record[ci], lineno, header[ci]) for ci in req_cols]
-            try:
-                requirements = RequirementValues(*req_values)
-            except ValueError as exc:
-                raise IngestionError(f"row {lineno}: {exc}") from exc
-        rows.append(SweepRow(config, monitors, requirements))
-
-    if not rows:
-        raise IngestionError("no rows in the data section")
-    try:
-        return SweepDataset(space, tuple(rows), metadata)
-    except ValueError as exc:
-        raise IngestionError(str(exc)) from exc
 
 
 def _parse_number(text: str, lineno: int, column: str) -> float:
@@ -540,7 +669,7 @@ def _parse_number(text: str, lineno: int, column: str) -> float:
         value = float(text)
     except ValueError:
         raise IngestionError(f"row {lineno}, column {column}: not a number: {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise IngestionError(f"row {lineno}, column {column}: non-finite value {text!r}")
     return value
 

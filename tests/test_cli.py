@@ -1,5 +1,6 @@
 """End-to-end command line behavior: pipeline, config, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -373,13 +374,25 @@ def test_config_section_that_is_not_an_object_exits_one(tmp_path, capsys, config
     ({"workload": {"cores_per_server": 16.5}}, "cores_per_server"),
     ({"workload": {"mc_iterations": 20000.5}}, "mc_iterations"),
     ({"effects": {"fault": {"repair_intervals": 1.5}}}, "repair_intervals"),
+    ({"metrics": {"required_servers": 2.5}}, "required_servers"),
+    ({"metrics": {"max_servers": 16.5}}, "max_servers"),
+    ({"metrics": {"min_mc_iterations": 10000.5}}, "min_mc_iterations"),
 ])
 def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "s.csv"
-    assert run("--config", cfg, "simulate", "--out", out) == 1
-    assert f"{key} must be an integer" in capsys.readouterr().err
+    if "metrics" in config:
+        # the metrics models are built by the stages after simulate
+        sweep = tmp_path / "sweep.csv"
+        assert run("simulate", "--out", sweep) == 0
+        capsys.readouterr()
+        assert run("--config", cfg, "derive", "--dataset", sweep, "--out", out) == 1
+    else:
+        assert run("--config", cfg, "simulate", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be an integer" in err
+    assert f"section '{next(iter(config))}'" in err
     assert not out.exists()
 
 
@@ -449,3 +462,26 @@ def test_reduce_rejects_underived_dataset(tmp_path, capsys):
 
 def test_simulate_rejects_too_few_intervals(tmp_path):
     assert run("simulate", "--intervals", "3", "--out", tmp_path / "s.csv") == 1
+
+
+# SHA-256 of each quick-start artifact, recorded before the dataset went
+# columnar; the leaderboard and every report section are covered.
+PINNED_QUICKSTART_DIGESTS = {
+    "sweep": "15da7468af65649eafb70a5de771a9cc72625267af7dc449e086153657138e08",
+    "derived": "6e815cd1247b5f969a0bfe6f3b37916867f022a02551a57fd02b956de88bb9e5",
+    "reduction": "f409b13ad5c5008241e9dacfabbdaf1dceef6bb4cda940469e073e2ea66d013b",
+    "coefficients": "727f84566531f356d1fdced71f5db88549d26bb9ca32704dd6893368ceb8f243",
+    "search": "39646ee5ba2039627446e1969b80e4fde34f4ceff428f180522f815b260122c4",
+    "leaderboard": "44a1793cf5ef04bb479745f13624239ebb48e6f3e755fe8d2b58ac2a1ff6a375",
+    "validation": "12a2efc0fba6baa46b481aaff9c38759a9777b3e1aff4e3b1ed2849a45ae3e1d",
+    "table": "689ff1badc5a9ad6ae3047bffd39da762ca52baea1bd5b645e83855f8ccbdada",
+    "report": "c1aa7e7eb4c488ad792212a398a9b6e981f971744b473b293709980459ae6e9c",
+}
+
+
+def test_quickstart_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    # the README quick start: --deterministic, seed 12, relative paths
+    monkeypatch.chdir(tmp_path)
+    paths = run_pipeline(Path("."), seed=12)
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert got == PINNED_QUICKSTART_DIGESTS

@@ -210,7 +210,7 @@ def test_single_row_feasible_dataset_returns_that_row():
         space_of(2), [monitor_vector(), monitor_vector()],
         [requirement_values(), requirement_values()], spec=WIDE_OPEN,
     )
-    single = SweepDataset(ds.space, ds.rows[:1], {}, requirement_spec=WIDE_OPEN)
+    single = SweepDataset.from_rows(ds.space, ds.rows[:1], {}, requirement_spec=WIDE_OPEN)
     best = oracle_best(single)
     assert best.row is single.rows[0]
     assert best.feasible
@@ -219,7 +219,7 @@ def test_single_row_feasible_dataset_returns_that_row():
 def test_single_infeasible_row_raises():
     row = SweepRow(Configuration((0,)), monitor_vector(),
                    requirement_values(performance=1e4, power=81.0))
-    ds = SweepDataset(space_of(2), (row,), {}, requirement_spec=TABLE_SPEC)
+    ds = SweepDataset.from_rows(space_of(2), (row,), {}, requirement_spec=TABLE_SPEC)
     with pytest.raises(NoFeasibleConfigurationError):
         oracle_best(ds)
 
@@ -364,7 +364,7 @@ def test_validate_requires_baseline_row(derived_dataset, default_report):
     baseline = derived_dataset.space.baseline_configuration()
     rows = tuple(r for r in derived_dataset.rows if r.config != baseline)
     assert len(rows) == len(derived_dataset.rows) - 1
-    no_baseline = SweepDataset(
+    no_baseline = SweepDataset.from_rows(
         derived_dataset.space,
         rows,
         dict(derived_dataset.metadata),

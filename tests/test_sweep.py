@@ -1,6 +1,9 @@
 """Knob space enumeration, encoding, z-scores and CSV round-trips."""
 
+import csv
+import hashlib
 import io
+import json
 import math
 import re
 
@@ -9,7 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hpckit.defaults import (
+    default_availability_model,
+    default_cost_model,
+    default_effects,
+    default_fault_model,
+    default_knob_space,
+    default_requirement_spec,
+    default_workload,
+)
 from hpckit.errors import DegenerateSeriesError, IngestionError
+from hpckit.metrics import derive_dataset
+from hpckit.reducer import reduce
+from hpckit.search import oracle_best, validate
+from hpckit.simulator import generate_sweep
 from hpckit.sweep import (
     Configuration,
     KnobDef,
@@ -17,6 +33,7 @@ from hpckit.sweep import (
     KnobSpace,
     MonitorVector,
     RequirementValues,
+    SweepDataset,
     encode_knob_column,
     enumerate_configs,
     enumeration_rank,
@@ -328,6 +345,70 @@ def test_rendered_values_parse_back_within_12_digits(x):
     assert math.isclose(float(render_value(x)), x, rel_tol=1e-11, abs_tol=1e-11)
 
 
+# ------------------------------------------------------------ column checks
+
+# Edge values around every row rule: signs, zero, bounds, infinities, NaN.
+edge = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1e-300, 1e308, math.inf, -math.inf, math.nan])
+# energy relative to performance * power, around math.isclose's 1e-9 tolerances
+energy_offset = st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, -1e-9, -3e-9])
+# (row, "mon" or "req", column, value): an edge value put into one cell
+cell_fault = st.tuples(st.integers(0, 3), st.sampled_from(["mon", "req"]),
+                       st.integers(0, 10), edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(energy_offset, min_size=4, max_size=4), st.lists(cell_fault, max_size=2))
+def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults):
+    # the row types are the reference: a dataset accepts its columns only
+    # when every row constructs, and otherwise names the first bad row
+    monitors = [monitor_vector().as_array().tolist() for _ in offsets]
+    requirements = [requirement_values().as_array().tolist() for _ in offsets]
+    for r, offset in zip(requirements, offsets):
+        r[2] += offset * r[2]
+    for row, kind, column, value in faults:
+        if kind == "mon":
+            monitors[row][column] = value
+        else:
+            requirements[row][column % 5] = value
+    first_bad = None
+    for i, (m, r) in enumerate(zip(monitors, requirements)):
+        try:
+            MonitorVector(*m)
+            RequirementValues(*r)
+        except ValueError as exc:
+            first_bad = f"row {i}: {exc}"
+            break
+    levels = [c.levels for c in enumerate_configs(space_of(4))]
+    if first_bad is None:
+        ds = SweepDataset(space_of(4), levels, monitors, requirements)
+        assert [(r.monitors, r.requirements) for r in ds.rows] == [
+            (MonitorVector(*m), RequirementValues(*r)) for m, r in zip(monitors, requirements)]
+    else:
+        with pytest.raises(ValueError) as exc:
+            SweepDataset(space_of(4), levels, monitors, requirements)
+        assert str(exc.value) == first_bad
+
+
+@pytest.mark.parametrize("energy", [1e-9, 2e-9])
+def test_energy_check_keeps_math_isclose_boundary(energy):
+    # |energy - performance * power| equal to abs_tol passes, as in math.isclose
+    req = [0.0, 70.0, energy, 0.995, 5050.0]
+    mons = [monitor_vector().as_array().tolist()] * 2
+    if math.isclose(energy, 0.0, rel_tol=1e-9, abs_tol=1e-9):
+        SweepDataset(space_of(2), [(0,), (1,)], mons, [req] * 2)
+    else:
+        with pytest.raises(ValueError, match="row 0: energy must equal"):
+            SweepDataset(space_of(2), [(0,), (1,)], mons, [req] * 2)
+
+
+def test_dataset_rejects_out_of_range_levels_and_duplicates():
+    mons = [monitor_vector().as_array().tolist()] * 4
+    with pytest.raises(ValueError, match="row 2: level index 4 out of range for knob 'K0'"):
+        SweepDataset(space_of(4), [(0,), (1,), (4,), (3,)], mons)
+    with pytest.raises(ValueError, match=r"duplicate configuration \(1,\)"):
+        SweepDataset(space_of(4), [(0,), (1,), (2,), (1,)], mons)
+
+
 # ---------------------------------------------------------- ingestion errors
 
 
@@ -378,3 +459,155 @@ def test_ingest_rejects_unknown_knob_level(raw_dataset):
     lines[data_start] = ",".join(row)
     with pytest.raises(IngestionError):
         ingest_csv(io.StringIO("\n".join(lines) + "\n"), raw_dataset.space)
+
+
+def _edited_csv(text, edits):
+    """``text`` with data cells replaced; rows count from 0 after the header.
+
+    An edit is (row, column, value); the column "copy_of" copies the
+    whole row numbered ``value`` and "drop_last" drops the last cell.
+    """
+    lines = text.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = next(csv.reader([lines[start]]))
+    rows = list(csv.reader(lines[start + 1:]))
+    for row, column, value in edits:
+        if column == "copy_of":
+            rows[row] = list(rows[value])
+        elif column == "drop_last":
+            rows[row] = rows[row][:-1]
+        else:
+            rows[row][header.index(column)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return "".join(lines[:start + 1]) + buf.getvalue()
+
+
+# Messages recorded from the row-by-row reader before ingestion went
+# columnar. "row N" counts data records, the header being row 1.
+REJECTIONS = [
+    ([(0, "mon:ipc", "abc")], "row 2, column mon:ipc: not a number: 'abc'"),
+    ([(3, "mon:mpki", "nan")], "row 5, column mon:mpki: non-finite value 'nan'"),
+    ([(4, "req:cost", "inf")], "row 6, column req:cost: non-finite value 'inf'"),
+    ([(5, "mon:cpu_temp_c", "-inf")], "row 7, column mon:cpu_temp_c: non-finite value '-inf'"),
+    ([(5, "knob:SMT", "Maybe")], "row 7: unknown level 'Maybe' for knob 'SMT'"),
+    ([(7, "copy_of", 6)], "row 9: duplicate configuration (0, 0, 0, 1, 1, 0)"),
+    ([(8, "drop_last", None)], "row 10: expected 22 cells, got 21"),
+    ([(9, "mon:peak_power_w", "1")], "row 11: peak_power must be at least cpu_power"),
+    ([(10, "mon:execution_time_s", "0")], "row 12: execution_time must be positive"),
+    ([(10, "mon:execution_time_s", "-5")], "row 12: execution_time must be positive"),
+    ([(11, "mon:dram_power_w", "-1")], "row 13: monitor dram_power must be non-negative"),
+    ([(11, "mon:opex", "-1")], "row 13: monitor opex must be non-negative"),
+    ([(12, "mon:server_mtbf_h", "0")], "row 14: MTBF monitors must be positive"),
+    ([(12, "mon:system_mtbf_h", "-3")], "row 14: MTBF monitors must be positive"),
+    ([(13, "req:availability", "1.5")], "row 15: availability must lie in [0, 1]"),
+    ([(13, "req:availability", "-0.1")], "row 15: availability must lie in [0, 1]"),
+    ([(14, "req:energy_j", "1")],
+     "row 16: energy must equal performance times power (1.0 vs 26087.838221274964)"),
+    ([(15, "req:cost", "-1")], "row 17: requirement cost must be non-negative"),
+    ([(16, "req:power_w", "-2")], "row 18: requirement power must be non-negative"),
+    # two faults in two rows: the earlier row is named, whatever its fault
+    ([(20, "req:energy_j", "1"), (30, "knob:DVFS", "9.9GHz")],
+     "row 22: energy must equal performance times power (1.0 vs 20850.396379766702)"),
+    ([(40, "mon:ipc", "x"), (41, "drop_last", None)],
+     "row 42, column mon:ipc: not a number: 'x'"),
+    ([(70, "copy_of", 2), (71, "mon:ipc", "nan")],
+     "row 72: duplicate configuration (0, 0, 0, 0, 1, 0)"),
+    # two faults in one row: the knob cells are checked before the numbers
+    ([(50, "knob:DVFS", "9.9GHz"), (50, "mon:ipc", "x")],
+     "row 52: unknown level '9.9GHz' for knob 'DVFS'"),
+    ([(60, "mon:peak_power_w", "1"), (60, "req:availability", "2")],
+     "row 62: peak_power must be at least cpu_power"),
+]
+
+
+@pytest.mark.parametrize("edits, message", REJECTIONS)
+def test_ingest_rejection_names_the_first_bad_row(derived_dataset, edits, message):
+    # the default sweep at seed 12
+    text = _edited_csv(export_csv_string(derived_dataset), edits)
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(io.StringIO(text), derived_dataset.space)
+    assert str(exc.value) == message
+
+
+# ------------------------------------------------------ analysis byte identity
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _noop_space() -> KnobSpace:
+    """The default space plus six binary knobs X0..X5 without any effect: 8192 rows."""
+    extra = tuple(KnobDef(f"X{i}", (KnobLevel("off"), KnobLevel("on")), 0) for i in range(6))
+    return KnobSpace(default_knob_space().knobs + extra)
+
+
+# SHA-256s of the derived CSV, reduction JSON, coefficient table, oracle
+# pick and validation JSON, recorded before the dataset went columnar.
+# "csv" runs the sweep through export and ingest before deriving, as the
+# command line does.
+PINNED_ANALYSIS_DIGESTS = [
+    ("default", 12, False, (
+        "3a5694f05e7d6c3e640158b1f1613341cdc6d097c9778dc823fc1e98f68bbb21",
+        "ca7e46635ccc868e7d5b0628bfe14365bc0196c5f0a6920d5821ff0c13a750e9",
+        "d9359646affdcf869c51dae46b6232a930858847c16dec8b14fb7b1e05ca0d6e",
+        "48498e76f8c5f83a3911ba70672c4116d2b89184dd08e4e9976c4f404287c569",
+        "e1a8c0c47debf5d4d00fad000f98f08a62c76011ab92734cbd0cf1308efb0115")),
+    ("default", 13, False, (
+        "0c0192355e82a5abe8a2f831c4fc7fb2f58a72ae328fd1249b1a5e6b5c8b2fc0",
+        "0571f4ac62338b2885cd373f038f0f5ac5e6f637131a1b3eb9ec714049286fab",
+        "b3c56b341d647214bd88646b7acc917062f2919b3bd0a0e3fc54588c2b809960",
+        "c03da099b3f95cc02726145bb813d1ea66932b8245a53c23bbb74c5f54d5f864",
+        "4267f80d30c3cd808884b41710eea389e9eb2adb6862747d3db27178f7734894")),
+    ("default", 14, False, (
+        "5ee88663db6c18bcc0c5b5a087378efe85d98b5eb36d473a856a041fec8f0f2c",
+        "5eff68f79e23c7de9bb2e785f51e9629b3ef3a7399739d6d73c11cff494e58b8",
+        "bcbb3852d59899c24d7073103cbb2e96e7e7ec8db65d91444e3f3a2aae655d83",
+        "6cf67f8e2554749353d6b8e4a15944dafa7ac1056ec889b990507989a7444c85",
+        "987c280421a9033dfc4f7abdc811192943c7b2a7cc5abb0a8a9bd511c8abd716")),
+    ("default", 15, False, (
+        "294de7f4275ebb2592d624e76ef986b9d9fb8aa4a4079d3831d9327d5c2d882e",
+        "c390890bed3c01885e97902d0ac867fb8dba876d44c23fab6a1435104cff8850",
+        "14f00cd97e2401f0eae4370b24ed8772d1d02108abb9056510ba30bca9a9bbab",
+        "11066d5826147f9db0712295f6d5df10b737780ae2ff55e0fdaeda47933edcb3",
+        "8a212ec91c3cea756c5cffd98f266ab8584afe9a5364a12c893ddfb3b50ee013")),
+    ("default", 16, False, (
+        "8827ab1eaa60e4e953f2390cb57decc74e44ccad6213024d4ca989d83eb14c78",
+        "8cc4667ac76ec84893cf4558824fe53e31b70f02138ff21ebc7db0e85ee01d4c",
+        "c5d4accd0dd8d514a844271780b2bf77120790ac032f9dbab72ebf56366cac81",
+        "a8379dc687c91aaf17ced380ee529937e59cbc0aec4d9854684d0b03d8654ec0",
+        "3e23c90ef4d6198873fe7f0715e25269d67d1b8005b2f4b17062465e981d1de1")),
+    ("default", 12, True, (
+        "ab3e0aff89f04e73539643930555d6bf5a39c8a5c53067381ac8004d6f438a28",
+        "56be9e3c6e41b3ded8f160aa61a7970ae892cc4343de16cb17a6fe4e0fea50d6",
+        "d9359646affdcf869c51dae46b6232a930858847c16dec8b14fb7b1e05ca0d6e",
+        "d8481486aa6049031d2ab0849a654750946b436fcd44d6d9d2178d81b88a3930",
+        "038770a87038989c9bc2ad5869621f9ec77a094a8efd808a7f273be3b64d3a33")),
+    ("noop", 12, True, (
+        "6495503514fc1ac8a4ea09c773ba0d8e578a05a3b4262d955d99bab82ee3eec2",
+        "7b29a73acf6bbc4c167cc4567943e83014a952d3a3d1acae5e4c4678759ab24a",
+        "47558b3bdfeaa6f122864783e4aeca52cefec991df09b308a5673c5006d1f249",
+        "7869831a158be90f18846a20a6a87388794be6be47df6a4d31af33933a34b4e1",
+        "1a1331a9ab12b46a2b0044e1077e2cc489c786c9efa9e6d36bfd8abffd1e2b67")),
+]
+
+
+@pytest.mark.parametrize("space_name, seed, via_csv, digests", PINNED_ANALYSIS_DIGESTS)
+def test_analysis_artifacts_match_pinned_digests(space_name, seed, via_csv, digests):
+    space = _noop_space() if space_name == "noop" else default_knob_space()
+    ds = generate_sweep(space, default_workload(), default_effects(),
+                        default_fault_model(), seed)
+    if via_csv:
+        ds = ingest_csv(io.StringIO(export_csv_string(ds)), space)
+    derived = derive_dataset(ds, default_availability_model(), default_cost_model(),
+                             default_requirement_spec())
+    report = reduce(derived)
+    got = (
+        _sha(export_csv_string(derived)),
+        _sha(json.dumps(report.to_json_dict(), sort_keys=True)),
+        _sha(report.coefficients_csv()),
+        _sha(json.dumps(oracle_best(derived).to_json_dict(derived), sort_keys=True)),
+        _sha(json.dumps(validate(derived, report).to_json_dict(derived), sort_keys=True)),
+    )
+    assert got == digests

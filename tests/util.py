@@ -94,7 +94,7 @@ def build_dataset(
     for i, config in enumerate(configs):
         req = None if requirement_rows is None else requirement_rows[i]
         rows.append(SweepRow(config, monitor_rows[i], req))
-    return SweepDataset(space, tuple(rows), metadata or {}, requirement_spec=spec)
+    return SweepDataset.from_rows(space, tuple(rows), metadata or {}, requirement_spec=spec)
 
 
 def dataset_from_requirements(
