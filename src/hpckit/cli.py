@@ -28,7 +28,7 @@ from .reducer import (
     ReductionReport,
     reduce,
 )
-from .search import REQUIREMENT_NAMES, feasible_rows, oracle_best, score_requirements, validate
+from .search import REQUIREMENT_NAMES, RankedConfig, rank_feasible, validate
 from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
 from .sweep import (
     Configuration,
@@ -438,25 +438,6 @@ def cmd_reduce(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _leaderboard_rows(ds: SweepDataset, spec: RequirementSpec,
-                      weights: dict[str, float] | None, top: int) -> list[dict]:
-    scores = score_requirements(ds, weights).tolist()
-    feasible = feasible_rows(ds, spec).tolist()
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    entries = []
-    for rank, i in enumerate((j for j in order if feasible[j]), start=1):
-        row = ds.row(i)
-        entries.append({
-            "rank": rank,
-            "configuration": dict(zip(ds.space.names, row.config.labels(ds.space))),
-            "score": scores[i],
-            "requirements": {n: row.requirements.value(n) for n in REQUIREMENT_NAMES},
-        })
-        if rank >= top:
-            break
-    return entries
-
-
 def cmd_search(args, cfg: dict) -> int:
     ds, space, digest, seed = _load_dataset(args, cfg)
     _require_derived(ds, args.dataset)
@@ -464,13 +445,18 @@ def cmd_search(args, cfg: dict) -> int:
     _require_mc_iterations(ds, spec, args.dataset)
     _, _, weights = build_analysis(cfg)
     try:
-        best = oracle_best(ds, spec, weights)
+        scores, order = rank_feasible(ds, spec, weights)
     except NoFeasibleConfigurationError as exc:
         raise NoFeasibleConfigurationError(
             f"{args.dataset}: {exc}", exc.least_violating, exc.violation
         ) from exc
-    feasible = int(feasible_rows(ds, spec).sum())
-    entries = _leaderboard_rows(ds, spec, weights, args.top)
+    best = RankedConfig.at(ds, order[0], scores)
+    entries = [{
+        "rank": rank,
+        "configuration": dict(zip(space.names, ds.row(i).config.labels(space))),
+        "score": float(scores[i]),
+        "requirements": {n: ds.row(i).requirements.value(n) for n in REQUIREMENT_NAMES},
+    } for rank, i in enumerate(order[:max(args.top, 1)], start=1)]  # the best at least
 
     resolved = {
         "space": space.to_json_dict(),
@@ -487,7 +473,7 @@ def cmd_search(args, cfg: dict) -> int:
     payload = {
         "manifest": manifest,
         "total_rows": len(ds),
-        "feasible_rows": feasible,
+        "feasible_rows": len(order),
         "best": best.to_json_dict(ds),
         "leaderboard": entries,
     }

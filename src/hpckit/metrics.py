@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnreachableTargetError, require_int
-from .sweep import MONITOR_NAMES, MonitorVector, RequirementValues, SweepDataset
+from .sweep import MONITOR_NAMES, SweepDataset
 
 BILLION_HOURS = 1e9  # FIT rates count failures per billion device hours
 
@@ -139,13 +139,13 @@ def system_availability(servers: int, required: int, a: float) -> float:
     return min(total, 1.0)
 
 
-def min_servers(required: int, a: float, target: float, cap: int = 16) -> int:
-    """Smallest server count meeting the availability target.
+def min_servers(required: int, a: float, target: float, cap: int = 16) -> tuple[int, float]:
+    """Smallest server count meeting the availability target, and its availability.
 
     Scans S from ``required`` to ``cap`` and returns the first S with
-    system_availability(S, required, a) >= target. Raises
-    UnreachableTargetError carrying the best achievable availability
-    when even the cap falls short.
+    system_availability(S, required, a) >= target, together with that
+    availability. Raises UnreachableTargetError carrying the best
+    achievable availability when even the cap falls short.
     """
     if cap < required:
         raise ValueError("cap must be at least required")
@@ -153,7 +153,7 @@ def min_servers(required: int, a: float, target: float, cap: int = 16) -> int:
     for servers in range(required, cap + 1):
         avail = system_availability(servers, required, a)
         if avail >= target:
-            return servers
+            return servers, avail
         best = max(best, avail)
     raise UnreachableTargetError(
         f"no server count up to {cap} reaches availability {target}", best
@@ -176,54 +176,6 @@ def derive_cost(servers: int, energy: float, model: CostModel) -> CostBreakdown:
     return CostBreakdown(capex, opex, capex + opex)
 
 
-def _derive_columns(
-    monitors: np.ndarray, avail_model: AvailabilityModel, cost_model: CostModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Requirement columns and provisioned monitor columns for monitor rows.
-
-    Each step is the scalar formula applied elementwise, so every value
-    is the float a per-row loop would give. The availability binomial
-    stays the scalar ``system_availability`` over Python floats: a
-    vectorised power differs from Python's ``**`` in the last bit.
-    """
-    col = {name: j for j, name in enumerate(MONITOR_NAMES)}
-    performance = monitors[:, col["execution_time_s"]]
-    power = derive_power(monitors[:, col["cpu_power_w"]], monitors[:, col["dram_power_w"]])
-    energy = derive_energy(performance, power)
-    server_mtbf = monitors[:, col["server_mtbf_h"]]
-    a = server_availability(server_mtbf, avail_model.server_mttr).tolist()
-    required = avail_model.required_servers
-    servers = [min_servers(required, x, avail_model.availability_target,
-                           avail_model.max_servers) for x in a]
-    availability = [system_availability(n, required, x) for n, x in zip(servers, a)]
-    servers = np.array(servers, dtype=float)  # as Python converts an int times a float
-    cost = derive_cost(servers, energy, cost_model)
-    provisioned = monitors.copy()
-    provisioned[:, col["system_mtbf_h"]] = server_mtbf / servers
-    provisioned[:, col["capex"]] = cost.capex
-    provisioned[:, col["opex"]] = cost.opex
-    requirements = np.column_stack([performance, power, energy, availability, cost.total])
-    return requirements, provisioned
-
-
-def derive_requirements(
-    monitors: MonitorVector,
-    avail_model: AvailabilityModel,
-    cost_model: CostModel,
-) -> tuple[RequirementValues, MonitorVector]:
-    """Derive the five requirements from one monitor vector.
-
-    Returns the requirement values together with an updated monitor
-    vector whose system_mtbf, capex and opex reflect the provisioned
-    server count (system_mtbf uses a series model: server MTBF divided
-    by the number of provisioned servers).
-    """
-    requirements, provisioned = _derive_columns(
-        monitors.as_array()[None, :], avail_model, cost_model)
-    return (RequirementValues(*requirements[0].tolist()),
-            MonitorVector(*provisioned[0].tolist()))
-
-
 def derive_dataset(
     ds: SweepDataset,
     avail_model: AvailabilityModel,
@@ -232,10 +184,33 @@ def derive_dataset(
 ) -> SweepDataset:
     """Fill requirement values (and derived monitors) for every row.
 
+    The provisioned server count sets system MTBF (server MTBF divided by
+    the count, a series model), capex and opex. Each step is the scalar
+    formula applied elementwise, so every value is the float a per-row
+    loop would give. The availability binomial stays the scalar
+    ``system_availability`` over Python floats: a vectorised power
+    differs from Python's ``**`` in the last bit.
+
     When ``spec`` is given it is attached to the returned dataset so that
     downstream feasibility filtering uses the same thresholds.
     """
-    requirements, monitors = _derive_columns(ds.monitors, avail_model, cost_model)
-    if spec is not None:
-        return replace(ds, monitors=monitors, requirements=requirements, requirement_spec=spec)
-    return replace(ds, monitors=monitors, requirements=requirements)
+    monitors = ds.monitors
+    col = {name: j for j, name in enumerate(MONITOR_NAMES)}
+    performance = monitors[:, col["execution_time_s"]]
+    power = derive_power(monitors[:, col["cpu_power_w"]], monitors[:, col["dram_power_w"]])
+    energy = derive_energy(performance, power)
+    server_mtbf = monitors[:, col["server_mtbf_h"]]
+    a = server_availability(server_mtbf, avail_model.server_mttr).tolist()
+    required = avail_model.required_servers
+    servers, availability = zip(*(min_servers(required, x, avail_model.availability_target,
+                                              avail_model.max_servers) for x in a))
+    servers = np.array(servers, dtype=float)  # as Python converts an int times a float
+    cost = derive_cost(servers, energy, cost_model)
+    provisioned = monitors.copy()
+    provisioned[:, col["system_mtbf_h"]] = server_mtbf / servers
+    provisioned[:, col["capex"]] = cost.capex
+    provisioned[:, col["opex"]] = cost.opex
+    return replace(
+        ds, monitors=provisioned,
+        requirements=np.column_stack([performance, power, energy, availability, cost.total]),
+        requirement_spec=ds.requirement_spec if spec is None else spec)

@@ -89,20 +89,6 @@ def feasible_rows(dataset: SweepDataset, spec: RequirementSpec) -> np.ndarray:
     return _meets(dataset.requirements, spec)
 
 
-def threshold_violation(row: SweepRow, spec: RequirementSpec) -> float:
-    """Worst relative threshold overshoot; zero when feasible."""
-    req = row.requirements
-    if req is None:
-        raise ValueError("row has no derived requirement values")
-    gaps = [
-        (req.performance - spec.performance_max) / spec.performance_max,
-        (req.power - spec.power_max) / spec.power_max,
-        (req.energy - spec.energy_max) / spec.energy_max,
-        (spec.availability_min - req.availability) / spec.availability_min,
-    ]
-    return max(0.0, max(gaps))
-
-
 def _combined_zscores(
     columns: list[tuple[str, np.ndarray, int]],
     weights: dict[str, float] | None = None,
@@ -162,6 +148,12 @@ class RankedConfig:
     feasible: bool
     row: SweepRow
 
+    @classmethod
+    def at(cls, dataset: SweepDataset, i: int, scores: np.ndarray) -> "RankedConfig":
+        """Feasible row ``i`` of ``dataset`` with its score."""
+        row = dataset.row(i)
+        return cls(row.config, float(scores[i]), True, row)
+
     def to_json_dict(self, dataset: SweepDataset) -> dict:
         req = self.row.requirements
         return {
@@ -174,26 +166,51 @@ class RankedConfig:
         }
 
 
-def _best_row(
+def _feasible_order(
     dataset: SweepDataset,
     indices: np.ndarray,
     scores: np.ndarray,
     spec: RequirementSpec,
-) -> RankedConfig:
+) -> list[int]:
+    """The feasible rows among ``indices``, best first.
+
+    Lowest score first, ties to the earliest configuration in enumeration
+    order. With no feasible row, raises NoFeasibleConfigurationError naming
+    the row whose worst relative threshold overshoot is smallest.
+    """
     feasible = indices[feasible_rows(dataset, spec)[indices]]
     if not feasible.size:
-        worst = min(indices.tolist(), key=lambda i: threshold_violation(dataset.row(i), spec))
-        row = dataset.row(worst)
+        performance, power, energy, availability, _ = dataset.requirements[indices].T
+        violation = np.maximum(0.0, np.max([
+            (performance - spec.performance_max) / spec.performance_max,
+            (power - spec.power_max) / spec.power_max,
+            (energy - spec.energy_max) / spec.energy_max,
+            (spec.availability_min - availability) / spec.availability_min,
+        ], axis=0))
+        least = int(np.argmin(violation))
         raise NoFeasibleConfigurationError(
             "no configuration meets every requirement threshold",
-            least_violating=row.config,
-            violation=threshold_violation(row, spec),
+            least_violating=dataset.row(int(indices[least])).config,
+            violation=float(violation[least]),
         )
-    # lowest score first, ties to the earliest configuration in enumeration order
+    # Python's sort: np.lexsort would map about 0.1 MB more of numpy's code
     score, rank = scores.tolist(), dataset.rank.tolist()
-    best = min(feasible.tolist(), key=lambda i: (score[i], rank[i]))
-    row = dataset.row(best)
-    return RankedConfig(row.config, float(scores[best]), True, row)
+    return sorted(feasible.tolist(), key=lambda i: (score[i], rank[i]))
+
+
+def rank_feasible(
+    dataset: SweepDataset,
+    spec: RequirementSpec | None = None,
+    weights: dict[str, float] | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """Every row's full requirement score, and the feasible rows best first.
+
+    A lone row has nothing to rank against and scores 0. Raises
+    NoFeasibleConfigurationError when no row is feasible.
+    """
+    spec = _resolve_spec(dataset, spec)
+    scores = np.zeros(1) if len(dataset) == 1 else score_requirements(dataset, weights)
+    return scores, _feasible_order(dataset, np.arange(len(dataset)), scores, spec)
 
 
 def oracle_best(
@@ -202,12 +219,8 @@ def oracle_best(
     weights: dict[str, float] | None = None,
 ) -> RankedConfig:
     """Best feasible configuration under the full requirement score."""
-    spec = _resolve_spec(dataset, spec)
-    if len(dataset) == 1:
-        # nothing to rank against; feasibility alone decides
-        return _best_row(dataset, np.zeros(1, dtype=int), np.zeros(1), spec)
-    scores = score_requirements(dataset, weights)
-    return _best_row(dataset, np.arange(len(dataset)), scores, spec)
+    scores, order = rank_feasible(dataset, spec, weights)
+    return RankedConfig.at(dataset, order[0], scores)
 
 
 def reduced_best(
@@ -248,7 +261,7 @@ def reduced_best(
     ]
     scores = np.full(len(dataset), math.inf)
     scores[indices] = _combined_zscores(columns)
-    return _best_row(dataset, indices, scores, spec)
+    return RankedConfig.at(dataset, _feasible_order(dataset, indices, scores, spec)[0], scores)
 
 
 def _percent_difference(name: str, oracle_value: float, reduced_value: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,6 +83,10 @@ class LevelEffect:
     peak_surcharge_w: float = 0.0
 
 
+# every factor but the additive watt terms
+_LEVEL_FACTORS = tuple(f.name for f in fields(LevelEffect) if not f.name.endswith("_w"))
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Relative (or absolute, where noted) measurement noise levels."""
@@ -138,10 +142,8 @@ class KnobEffects:
                     raise ValueError(
                         f"effect for {knob_name}/{label} must be a LevelEffect"
                     )
-                if eff.cores <= 0 or eff.throughput <= 0 or eff.frequency <= 0:
-                    raise ValueError(
-                        f"effect for {knob_name}/{label} must keep rates positive"
-                    )
+                if bad := next((f for f in _LEVEL_FACTORS if not getattr(eff, f) > 0), None):
+                    raise ValueError(f"effect for {knob_name}/{label}: {bad} must be positive")
                 if eff.dram_background_w < 0 or eff.peak_surcharge_w < 0:
                     raise ValueError(
                         f"effect for {knob_name}/{label}: additive watt terms "
@@ -307,12 +309,13 @@ class SimulationResult:
     intervals: tuple[IntervalRecord, ...]
 
     @property
+    def successes(self) -> int:
+        """Intervals that count for availability: no deadline miss after a fault."""
+        return sum(r.outcome not in (FaultCase.CASE2, FaultCase.CASE3) for r in self.intervals)
+
+    @property
     def success_fraction(self) -> float:
-        bad = sum(
-            1 for r in self.intervals
-            if r.outcome in (FaultCase.CASE2, FaultCase.CASE3)
-        )
-        return (len(self.intervals) - bad) / len(self.intervals)
+        return self.successes / len(self.intervals)
 
 
 def trimmed_mean(values) -> float:
@@ -494,25 +497,18 @@ def generate_sweep(
     underived; metadata records the seed, the parameter digest and the
     aggregate interval success fraction.
     """
-    rows = []
-    good = 0
-    total = 0
+    rows, good = [], 0
     for config in enumerate_configs(space):
         result = simulate_config_detailed(
             space, config, params, effects, fault_model, n_intervals, seed
         )
         rows.append(SweepRow(config, result.monitors))
-        bad = sum(
-            1 for r in result.intervals
-            if r.outcome in (FaultCase.CASE2, FaultCase.CASE3)
-        )
-        good += len(result.intervals) - bad
-        total += len(result.intervals)
+        good += result.successes
     metadata = {
         "seed": str(seed),
         "parameters": parameters_digest(space, params, effects, fault_model),
         "mc_iterations": str(params.mc_iterations),
         "n_intervals": str(n_intervals),
-        "interval_success_fraction": format(good / total, ".6f"),
+        "interval_success_fraction": format(good / (len(rows) * n_intervals), ".6f"),
     }
     return SweepDataset.from_rows(space, rows, metadata)

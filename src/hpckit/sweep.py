@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,10 +136,7 @@ class KnobSpace:
         return tuple(k.name for k in self.knobs)
 
     def knob(self, name: str) -> KnobDef:
-        for k in self.knobs:
-            if k.name == name:
-                return k
-        raise KeyError(f"no knob named {name!r}")
+        return self.knobs[self.knob_index(name)]
 
     def knob_index(self, name: str) -> int:
         for i, k in enumerate(self.knobs):
@@ -202,10 +199,6 @@ class Configuration:
 
     levels: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(i < 0 for i in self.levels):
-            raise ValueError("level indices must be non-negative")
-
     def labels(self, space: KnobSpace) -> tuple[str, ...]:
         space.validate_configuration(self)
         return tuple(k.levels[i].label for k, i in zip(space.knobs, self.levels))
@@ -224,17 +217,6 @@ def enumeration_rank(space: KnobSpace, config: Configuration) -> int:
     for knob, idx in zip(space.knobs, config.levels):
         rank = rank * len(knob.levels) + idx
     return rank
-
-
-def encode_knob_column(space: KnobSpace, name: str, configs: list[Configuration]) -> np.ndarray:
-    """Numeric series for one knob across configurations.
-
-    Levels with a physical value use it; otherwise the level index is
-    used, so binary knobs encode as 0/1.
-    """
-    knob = space.knob(name)
-    pos = space.knob_index(name)
-    return np.array([knob.numeric_value(c.levels[pos]) for c in configs], dtype=float)
 
 
 def zscore(series: np.ndarray) -> np.ndarray:
@@ -264,21 +246,6 @@ class MonitorVector:
     capex: float
     opex: float
 
-    def __post_init__(self):
-        for name in _MONITOR_ATTR.values():
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"monitor {name} must be finite, got {v!r}")
-        if self.execution_time <= 0:
-            raise ValueError("execution_time must be positive")
-        for name in _NON_NEGATIVE_MONITORS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"monitor {name} must be non-negative")
-        if self.peak_power < self.cpu_power:
-            raise ValueError("peak_power must be at least cpu_power")
-        if self.server_mtbf <= 0 or self.system_mtbf <= 0:
-            raise ValueError("MTBF monitors must be positive")
-
     def value(self, monitor_name: str) -> float:
         return getattr(self, _MONITOR_ATTR[monitor_name])
 
@@ -295,23 +262,6 @@ class RequirementValues:
     energy: float
     availability: float
     cost: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v):
-                raise ValueError(f"requirement {f.name} must be finite, got {v!r}")
-        if not 0.0 <= self.availability <= 1.0:
-            raise ValueError("availability must lie in [0, 1]")
-        for name in _NON_NEGATIVE_REQUIREMENTS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"requirement {name} must be non-negative")
-        if not math.isclose(self.energy, self.performance * self.power,
-                            rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError(
-                "energy must equal performance times power "
-                f"({self.energy!r} vs {self.performance * self.power!r})"
-            )
 
     def value(self, requirement_name: str) -> float:
         return getattr(self, _REQUIREMENT_ATTR[requirement_name])
@@ -333,37 +283,70 @@ _monitor_tuple = operator.attrgetter(*_MONITOR_ATTR.values())
 _requirement_tuple = operator.attrgetter(*_REQUIREMENT_ATTR.values())
 
 
-# MonitorVector's and RequirementValues' rules, restated for whole
-# columns. The row types keep their scalar checks: the simulator builds
-# one MonitorVector per configuration, and a numpy check per row costs
-# several times more.
-def _bad_monitor_rows(m: np.ndarray) -> np.ndarray:
-    """Rows MonitorVector would reject."""
-    c = dict(zip(_MONITOR_ATTR.values(), m.T))
+def _energy_mismatch(c):
+    """Where energy is not performance * power by math.isclose's rule, both tolerances 1e-9."""
+    with np.errstate(invalid="ignore"):  # such rows fail the finiteness rules first
+        tolerance = np.maximum(1e-9 * np.maximum(np.abs(c["energy"]), np.abs(c["product"])), 1e-9)
+        return ~(np.isfinite(c["product"]) & (np.abs(c["energy"] - c["product"]) <= tolerance))
+
+
+# The sweep's value rules in reporting order: (bad, message). ``bad`` maps
+# named columns to a mask, true where a row breaks the rule; ``message``
+# is formatted with that row's values.
+_MONITOR_RULES = (
+    *((lambda c, a=a: ~np.isfinite(c[a]), f"monitor {a} must be finite, got {{{a}!r}}")
+      for a in _MONITOR_ATTR.values()),
+    (lambda c: c["execution_time"] <= 0, "execution_time must be positive"),
+    *((lambda c, a=a: c[a] < 0, f"monitor {a} must be non-negative")
+      for a in _NON_NEGATIVE_MONITORS),
+    (lambda c: c["peak_power"] < c["cpu_power"], "peak_power must be at least cpu_power"),
+    (lambda c: (c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0),
+     "MTBF monitors must be positive"),
+)
+_REQUIREMENT_RULES = (
+    *((lambda c, a=a: ~np.isfinite(c[a]), f"requirement {a} must be finite, got {{{a}!r}}")
+      for a in _REQUIREMENT_ATTR.values()),
+    # a NaN availability has failed the finiteness rule already
+    (lambda c: (c["availability"] < 0.0) | (c["availability"] > 1.0),
+     "availability must lie in [0, 1]"),
+    *((lambda c, a=a: c[a] < 0, f"requirement {a} must be non-negative")
+      for a in _NON_NEGATIVE_REQUIREMENTS),
+    (_energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
+)
+
+
+def _rules(space: KnobSpace, derived: bool) -> tuple:
+    """The full rule table: level signs, monitors, requirements, then level ranges."""
     return (
-        ~np.isfinite(m).all(axis=1)
-        | (c["execution_time"] <= 0)
-        | np.any([c[name] < 0 for name in _NON_NEGATIVE_MONITORS], axis=0)
-        | (c["peak_power"] < c["cpu_power"])
-        | (c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0)
+        *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
+          for j in range(len(space.knobs))),
+        *_MONITOR_RULES,
+        *(_REQUIREMENT_RULES if derived else ()),
+        *((lambda c, j=j, size=len(knob.levels): c["levels"][:, j] >= size,
+           f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}")
+          for j, knob in enumerate(space.knobs)),
     )
 
 
-def _bad_requirement_rows(r: np.ndarray) -> np.ndarray:
-    """Rows RequirementValues would reject; energy uses math.isclose's exact rule."""
-    c = dict(zip(_REQUIREMENT_ATTR.values(), r.T))
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows fail the finiteness check
-        product = c["performance"] * c["power"]
-        close = np.isfinite(product) & (
-            np.abs(c["energy"] - product)
-            <= np.maximum(1e-9 * np.maximum(np.abs(c["energy"]), np.abs(product)), 1e-9)
-        )
-    return (
-        ~np.isfinite(r).all(axis=1)
-        | ~((c["availability"] >= 0.0) & (c["availability"] <= 1.0))
-        | np.any([c[name] < 0 for name in _NON_NEGATIVE_REQUIREMENTS], axis=0)
-        | ~close
-    )
+def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
+                 requirements: np.ndarray | None) -> tuple[int, str] | None:
+    """The first row that breaks a rule and the first rule it breaks, or None."""
+    c = {"levels": levels, **dict(zip(_MONITOR_ATTR.values(), monitors.T))}
+    if requirements is not None:
+        c.update(zip(_REQUIREMENT_ATTR.values(), requirements.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c["product"] = c["performance"] * c["power"]
+    rules = _rules(space, requirements is not None)
+    bad = np.zeros(len(levels), dtype=bool)
+    for fails, _ in rules:
+        bad |= fails(c)
+    if not (first := np.flatnonzero(bad)).size:
+        return None
+    i = int(first[0])
+    row = {name: column[i:i + 1] for name, column in c.items()}
+    message = next(message for fails, message in rules if fails(row)[0])
+    # Python values, so a float renders as 1.0, not np.float64(1.0)
+    return i, message.format(knobs=space.names, **{n: v[0].tolist() for n, v in row.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,11 +379,10 @@ class SweepDataset:
     _views: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        sizes = [len(k.levels) for k in self.space.knobs]
         n = len(self.levels)
         if not n:
             raise ValueError("dataset must contain at least one row")
-        for what, dtype, width in (("levels", np.int64, len(sizes)),
+        for what, dtype, width in (("levels", np.int64, len(self.space.knobs)),
                                    ("monitors", float, len(MONITOR_NAMES)),
                                    ("requirements", float, len(REQUIREMENT_NAMES))):
             if (values := getattr(self, what)) is not None:
@@ -409,24 +391,10 @@ class SweepDataset:
                     raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, what, arr)
-        bad = _bad_monitor_rows(self.monitors)
-        if self.requirements is not None:
-            bad |= _bad_requirement_rows(self.requirements)
-        try:  # the mixed-radix enumeration rank; raises for a level out of range
-            rank = np.ravel_multi_index(self.levels.T, sizes)
-        except ValueError:
-            out_of_range = [any(not 0 <= v < size for v, size in zip(row, sizes))
-                            for row in self.levels.tolist()]
-            if not any(out_of_range):
-                raise
-            bad |= out_of_range
-        if (first := np.flatnonzero(bad)).size:
-            i = int(first[0])
-            try:  # the row's own types name what is wrong
-                self.space.validate_configuration(self.row(i).config)
-            except ValueError as exc:
-                raise ValueError(f"row {i}: {exc}") from None
-            raise ValueError(f"row {i} failed validation")
+        if fault := _first_fault(self.space, self.levels, self.monitors, self.requirements):
+            raise ValueError(f"row {fault[0]}: {fault[1]}")
+        # the mixed-radix enumeration rank
+        rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs])
         row_of_rank = {}
         for i, r in enumerate(rank.tolist()):
             if row_of_rank.setdefault(r, i) != i:
@@ -440,16 +408,13 @@ class SweepDataset:
                   requirement_spec=None) -> "SweepDataset":
         """Build the columns from SweepRow objects, in the given order."""
         rows = tuple(rows)
-        if not rows:
-            raise ValueError("dataset must contain at least one row")
-        if len({r.requirements is None for r in rows}) > 1:
+        if (derived := {r.requirements is not None for r in rows}) == {True, False}:
             raise ValueError("either every row has requirement values or none does")
         return cls(
             space,
             [r.config.levels for r in rows],
             [_monitor_tuple(r.monitors) for r in rows],
-            None if rows[0].requirements is None
-            else [_requirement_tuple(r.requirements) for r in rows],
+            [_requirement_tuple(r.requirements) for r in rows] if True in derived else None,
             {} if metadata is None else metadata,
             requirement_spec,
         )
@@ -637,31 +602,42 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
 
 
 def _raise_first_bad_row(space, header, records, knob_cols, mon_cols, req_cols) -> None:
-    """Check the records one by one, raising IngestionError at the first fault."""
-    seen = set()
-    for lineno, record in enumerate(records, start=2):
-        if len(record) != len(header):
-            raise IngestionError(f"row {lineno}: expected {len(header)} cells, got {len(record)}")
-        levels = []
-        for knob, ci in zip(space.knobs, knob_cols):
-            label = record[ci]
-            try:
-                levels.append(knob.level_index(label))
-            except KeyError:
+    """Check the records in file order, raising IngestionError at the first fault.
+
+    Records are parsed one by one up to the first parse fault. The rule
+    table then checks the records before it at once, and a rule fault in
+    an earlier record is raised in its place.
+    """
+    parsed = {}  # each record's numbers by its levels, in file order
+    parse_fault = None
+    try:
+        for lineno, record in enumerate(records, start=2):
+            if len(record) != len(header):
                 raise IngestionError(
-                    f"row {lineno}: unknown level {label!r} for knob {knob.name!r}"
-                ) from None
-        levels = tuple(levels)
-        if levels in seen:
-            raise IngestionError(f"row {lineno}: duplicate configuration {levels}")
-        seen.add(levels)
-        try:
-            MonitorVector(*(_parse_number(record[ci], lineno, header[ci]) for ci in mon_cols))
-            if req_cols is not None:
-                RequirementValues(
-                    *(_parse_number(record[ci], lineno, header[ci]) for ci in req_cols))
-        except ValueError as exc:
-            raise IngestionError(f"row {lineno}: {exc}") from exc
+                    f"row {lineno}: expected {len(header)} cells, got {len(record)}")
+            levels = []
+            for knob, ci in zip(space.knobs, knob_cols):
+                label = record[ci]
+                try:
+                    levels.append(knob.level_index(label))
+                except KeyError:
+                    raise IngestionError(
+                        f"row {lineno}: unknown level {label!r} for knob {knob.name!r}"
+                    ) from None
+            levels = tuple(levels)
+            if levels in parsed:
+                raise IngestionError(f"row {lineno}: duplicate configuration {levels}")
+            parsed[levels] = [_parse_number(record[ci], lineno, header[ci])
+                              for ci in mon_cols + (req_cols or [])]
+    except IngestionError as exc:
+        parse_fault = exc
+    if parsed:
+        numbers = np.array(list(parsed.values()))
+        if fault := _first_fault(space, np.array(list(parsed)), numbers[:, :len(mon_cols)],
+                                 numbers[:, len(mon_cols):] if req_cols else None):
+            raise IngestionError(f"row {fault[0] + 2}: {fault[1]}")
+    if parse_fault is not None:
+        raise parse_fault
 
 
 def _parse_number(text: str, lineno: int, column: str) -> float:

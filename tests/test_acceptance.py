@@ -161,7 +161,7 @@ def test_criterion_04_availability_matches_state_enumeration():
     scan = 2
     while brute_force_system_availability(scan, 2, 0.99) < 0.99:
         scan += 1
-    picked = min_servers(2, 0.99, 0.99)
+    picked, _ = min_servers(2, 0.99, 0.99)
     elapsed = perf_counter() - start
 
     ok = worst <= 1e-12 and picked == 3 and scan == 3 and elapsed < 1.0

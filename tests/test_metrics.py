@@ -11,16 +11,17 @@ from hpckit.metrics import (
     AvailabilityModel,
     CostModel,
     derive_cost,
+    derive_dataset,
     derive_energy,
     derive_power,
-    derive_requirements,
     fit_to_mtbf,
     min_servers,
     server_availability,
     system_availability,
 )
+from hpckit.sweep import SweepDataset
 
-from util import brute_force_system_availability, monitor_vector
+from util import brute_force_system_availability, monitor_vector, space_of
 
 
 # -------------------------------------------------------------- energy/power
@@ -143,8 +144,8 @@ def test_system_availability_monotone_in_servers_and_a(servers, data, a):
 
 
 def test_min_servers_examples():
-    assert min_servers(2, 0.99, 0.99) == 3
-    assert min_servers(1, 0.999, 0.99) == 1
+    assert min_servers(2, 0.99, 0.99) == (3, system_availability(3, 2, 0.99))
+    assert min_servers(1, 0.999, 0.99) == (1, system_availability(1, 1, 0.999))
 
 
 def test_min_servers_unreachable_target_reports_best():
@@ -167,19 +168,19 @@ def test_min_servers_rejects_cap_below_required():
 )
 def test_min_servers_monotone_in_target_and_availability(required, a, target, frac):
     try:
-        base = min_servers(required, a, target)
+        base, _ = min_servers(required, a, target)
     except UnreachableTargetError:
         return
     # a tighter target can never need fewer servers
     tighter = target + frac * (0.9999 - target)
     try:
-        assert min_servers(required, a, tighter) >= base
+        assert min_servers(required, a, tighter)[0] >= base
     except UnreachableTargetError:
         pass
     # a better server can never need more servers
     better = a + frac * (0.9999 - a)
     if better >= a:
-        assert min_servers(required, better, target) <= base
+        assert min_servers(required, better, target)[0] <= base
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,9 +191,10 @@ def test_min_servers_monotone_in_target_and_availability(required, a, target, fr
 )
 def test_min_servers_result_meets_target_and_is_minimal(required, a, target):
     try:
-        s = min_servers(required, a, target)
+        s, availability = min_servers(required, a, target)
     except UnreachableTargetError:
         return
+    assert availability == system_availability(s, required, a)
     assert system_availability(s, required, a) >= target
     if s > required:
         assert system_availability(s - 1, required, a) < target
@@ -241,6 +243,13 @@ def _models():
         CostModel(server_price=2000.0, infrastructure_price=500.0,
                   energy_price=1e-6, maintenance_rate=0.01),
     )
+
+
+def derive_requirements(monitors, avail_model, cost_model):
+    """Requirements and provisioned monitors of a one-row dataset."""
+    ds = SweepDataset(space_of(2), [(0,)], [monitors.as_array()])
+    row = derive_dataset(ds, avail_model, cost_model).row(0)
+    return row.requirements, row.monitors
 
 
 def test_derive_requirements_reference_monitors():

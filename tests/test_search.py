@@ -13,9 +13,9 @@ from hpckit.metrics import RequirementSpec
 from hpckit.search import (
     is_feasible,
     oracle_best,
+    rank_feasible,
     reduced_best,
     score_requirements,
-    threshold_violation,
     validate,
 )
 from hpckit.sweep import (
@@ -69,16 +69,25 @@ def test_boundary_values_are_feasible_inclusively():
     assert is_feasible(_row(600.0, 81.0, 0.99), TABLE_SPEC)
 
 
+def _threshold_violation(row, spec):
+    """The no-feasible error's violation for a dataset of ``row`` alone; 0 when feasible."""
+    try:
+        oracle_best(SweepDataset.from_rows(space_of(2), [row]), spec)
+    except NoFeasibleConfigurationError as exc:
+        return exc.violation
+    return 0.0
+
+
 def test_single_overshoot_is_infeasible():
     # performance over the limit; energy follows performance times power
     row = _row(601.0, 81.0, 0.99)
     assert not is_feasible(row, TABLE_SPEC)
-    assert threshold_violation(row, TABLE_SPEC) > 0.0
+    assert _threshold_violation(row, TABLE_SPEC) > 0.0
 
 
 def test_interior_point_is_feasible():
     assert is_feasible(_row(300.0, 40.0, 0.999), TABLE_SPEC)
-    assert threshold_violation(_row(300.0, 40.0, 0.999), TABLE_SPEC) == 0.0
+    assert _threshold_violation(_row(300.0, 40.0, 0.999), TABLE_SPEC) == 0.0
 
 
 def test_each_threshold_is_checked():
@@ -236,6 +245,18 @@ def test_unique_feasible_row_wins_regardless_of_score():
     assert best.row.requirements.performance == 590.0
     scores = score_requirements(ds)
     assert scores[2] == max(scores)
+
+
+def test_rank_feasible_breaks_score_ties_by_enumeration_order():
+    # rows listed in reverse enumeration order; levels 0 and 2 tie, as do 1 and 3
+    perf = {0: 300.0, 1: 400.0}
+    ds = SweepDataset.from_rows(space_of(4), [
+        SweepRow(Configuration((k,)), monitor_vector(), requirement_values(performance=perf[k % 2]))
+        for k in (3, 2, 1, 0)])
+    scores, order = rank_feasible(ds, WIDE_OPEN)
+    assert [ds.row(i).config.levels for i in order] == [(0,), (2,), (1,), (3,)]
+    assert scores[order[0]] == scores[order[1]] < scores[order[2]] == scores[order[3]]
+    assert oracle_best(ds, WIDE_OPEN).config == Configuration((0,))
 
 
 def test_no_feasible_row_names_least_violating():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from hpckit.sweep import (
     MonitorVector,
     RequirementValues,
     SweepDataset,
-    encode_knob_column,
     enumerate_configs,
     enumeration_rank,
     export_csv_string,
@@ -89,9 +89,16 @@ def test_enumeration_rank_matches_list_position(sizes):
 # ------------------------------------------------------------------- encoding
 
 
+def _dataset_of(space, configs, monitors=None, requirements=None):
+    """A dataset over ``configs``, every row with ``monitors`` or the default values."""
+    return SweepDataset(space, [c.levels for c in configs],
+                        [(monitors or monitor_vector()).as_array()] * len(configs),
+                        None if requirements is None else [requirements.as_array()] * len(configs))
+
+
 def test_dvfs_column_uses_physical_frequencies(default_space):
     configs = [Configuration((i, 0, 0, 0, 0, 0)) for i in range(4)]
-    column = encode_knob_column(default_space, "DVFS", configs)
+    column = _dataset_of(default_space, configs).knob_column("DVFS")
     assert np.array_equal(column, [1.2, 1.7, 2.2, 2.6])
 
 
@@ -100,13 +107,13 @@ def test_binary_knob_encodes_as_level_index(default_space):
         Configuration((0, 0, 0, 0, 0, 0)),
         Configuration((0, 1, 0, 0, 0, 0)),
     ]
-    column = encode_knob_column(default_space, "SMT", configs)
+    column = _dataset_of(default_space, configs).knob_column("SMT")
     assert np.array_equal(column, [0.0, 1.0])
 
 
 def test_single_config_encodes_to_length_one():
     space = space_of(2, 2)
-    column = encode_knob_column(space, "K0", [Configuration((1, 0))])
+    column = _dataset_of(space, [Configuration((1, 0))]).knob_column("K0")
     assert column.shape == (1,)
     assert column[0] == 1.0
 
@@ -201,34 +208,39 @@ def test_knob_space_json_round_trip(default_space):
 
 
 # ------------------------------------------------------------- vector types
+# The row types are unchecked views; a dataset checks their values.
+
+
+def _one_row(monitors, requirements=None):
+    return _dataset_of(space_of(2), [Configuration((0,))], monitors, requirements)
 
 
 def test_monitor_vector_rejects_peak_below_cpu_power():
-    with pytest.raises(ValueError):
-        monitor_vector(cpu_power=90.0, peak_power=80.0)
+    with pytest.raises(ValueError, match="row 0: peak_power must be at least cpu_power"):
+        _one_row(monitor_vector(cpu_power=90.0, peak_power=80.0))
 
 
 def test_monitor_vector_rejects_nonpositive_execution_time():
-    with pytest.raises(ValueError):
-        monitor_vector(execution_time=0.0)
+    with pytest.raises(ValueError, match="row 0: execution_time must be positive"):
+        _one_row(monitor_vector(execution_time=0.0))
 
 
 def test_monitor_vector_rejects_non_finite_values():
-    with pytest.raises(ValueError):
-        monitor_vector(ipc=float("nan"))
+    with pytest.raises(ValueError, match="row 0: monitor ipc must be finite, got nan"):
+        _one_row(monitor_vector(ipc=float("nan")))
 
 
 def test_requirement_values_reject_energy_mismatch():
-    with pytest.raises(ValueError):
-        RequirementValues(
+    with pytest.raises(ValueError, match=re.escape("(4000.0 vs 5000.0)")):
+        _one_row(monitor_vector(), RequirementValues(
             performance=100.0, power=50.0, energy=4000.0,
             availability=0.99, cost=1000.0,
-        )
+        ))
 
 
 def test_requirement_values_reject_availability_above_one():
-    with pytest.raises(ValueError):
-        requirement_values(availability=1.5)
+    with pytest.raises(ValueError, match=re.escape("availability must lie in [0, 1]")):
+        _one_row(monitor_vector(), requirement_values(availability=1.5))
 
 
 # ------------------------------------------------------------ CSV round trip
@@ -356,11 +368,42 @@ cell_fault = st.tuples(st.integers(0, 3), st.sampled_from(["mon", "req"]),
                        st.integers(0, 10), edge)
 
 
+def _row_type_fault(m, r):
+    """The scalar checks the row types once made on a row, in their order."""
+    mon = dict(zip((f.name for f in fields(MonitorVector)), m))
+    req = dict(zip((f.name for f in fields(RequirementValues)), r))
+    for name, v in mon.items():
+        if not math.isfinite(v):
+            return f"monitor {name} must be finite, got {v!r}"
+    if mon["execution_time"] <= 0:
+        return "execution_time must be positive"
+    for name in ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex"):
+        if mon[name] < 0:
+            return f"monitor {name} must be non-negative"
+    if mon["peak_power"] < mon["cpu_power"]:
+        return "peak_power must be at least cpu_power"
+    if mon["server_mtbf"] <= 0 or mon["system_mtbf"] <= 0:
+        return "MTBF monitors must be positive"
+    for name, v in req.items():
+        if not math.isfinite(v):
+            return f"requirement {name} must be finite, got {v!r}"
+    if not 0.0 <= req["availability"] <= 1.0:
+        return "availability must lie in [0, 1]"
+    for name in ("performance", "power", "energy", "cost"):
+        if req[name] < 0:
+            return f"requirement {name} must be non-negative"
+    product = req["performance"] * req["power"]
+    if not math.isclose(req["energy"], product, rel_tol=1e-9, abs_tol=1e-9):
+        return f"energy must equal performance times power ({req['energy']!r} vs {product!r})"
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(energy_offset, min_size=4, max_size=4), st.lists(cell_fault, max_size=2))
 def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults):
-    # the row types are the reference: a dataset accepts its columns only
-    # when every row constructs, and otherwise names the first bad row
+    # the scalar checks above are the reference: a dataset accepts its
+    # columns only when every row passes them, and otherwise names the
+    # first bad row and its first failed check
     monitors = [monitor_vector().as_array().tolist() for _ in offsets]
     requirements = [requirement_values().as_array().tolist() for _ in offsets]
     for r, offset in zip(requirements, offsets):
@@ -370,14 +413,8 @@ def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults)
             monitors[row][column] = value
         else:
             requirements[row][column % 5] = value
-    first_bad = None
-    for i, (m, r) in enumerate(zip(monitors, requirements)):
-        try:
-            MonitorVector(*m)
-            RequirementValues(*r)
-        except ValueError as exc:
-            first_bad = f"row {i}: {exc}"
-            break
+    first_bad = next((f"row {i}: {fault}" for i, (m, r) in enumerate(zip(monitors, requirements))
+                      if (fault := _row_type_fault(m, r)) is not None), None)
     levels = [c.levels for c in enumerate_configs(space_of(4))]
     if first_bad is None:
         ds = SweepDataset(space_of(4), levels, monitors, requirements)
