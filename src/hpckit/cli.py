@@ -28,7 +28,7 @@ from .reducer import (
     ReductionReport,
     reduce,
 )
-from .search import REQUIREMENT_NAMES, RankedConfig, rank_feasible, validate
+from .search import REQUIREMENT_NAMES, RankedConfig, rank_feasible, row_json_dict, validate
 from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
 from .sweep import (
     Configuration,
@@ -451,12 +451,8 @@ def cmd_search(args, cfg: dict) -> int:
             f"{args.dataset}: {exc}", exc.least_violating, exc.violation
         ) from exc
     best = RankedConfig.at(ds, order[0], scores)
-    entries = [{
-        "rank": rank,
-        "configuration": dict(zip(space.names, ds.row(i).config.labels(space))),
-        "score": float(scores[i]),
-        "requirements": {n: ds.row(i).requirements.value(n) for n in REQUIREMENT_NAMES},
-    } for rank, i in enumerate(order[:max(args.top, 1)], start=1)]  # the best at least
+    entries = [{"rank": rank, "score": float(scores[i]), **row_json_dict(ds, i)}
+               for rank, i in enumerate(order[:args.top], start=1)]
 
     resolved = {
         "space": space.to_json_dict(),
@@ -659,6 +655,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def positive_int(text: str) -> int:
+    """An argument type: an integer of at least 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_dataset_arg(sub) -> None:
     sub.add_argument("--dataset", required=True, help="sweep CSV to read")
     sub.add_argument("--space", help="knob-space JSON file (default: config or built-in space)")
@@ -708,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sea = subs.add_parser("search", help="rank configurations by the requirement score")
     _add_dataset_arg(sea)
-    sea.add_argument("--top", type=int, default=10, help="leaderboard length")
+    sea.add_argument("--top", type=positive_int, default=10, help="leaderboard length")
     sea.add_argument("--out", default="search.json", help="search JSON path")
     sea.add_argument("--leaderboard", default="leaderboard.txt",
                      help="plain-text leaderboard path")

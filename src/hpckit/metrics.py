@@ -4,7 +4,7 @@ Four of the five requirements are simple combinations of measured
 monitors. Availability folds in an over-provisioning step: a server
 count S is grown until the probability that at least N of S servers
 are up meets the target, and capex/opex then price that S. The derived
-capex and opex are written back into the monitor vector so the cost
+capex and opex are written back into the monitor columns so the cost
 monitors reflect the provisioned system rather than placeholders.
 
 The power, energy, per-server availability and cost formulas take floats
@@ -37,7 +37,7 @@ class AvailabilityModel:
     def __post_init__(self):
         require_int("required_servers", self.required_servers)
         require_int("max_servers", self.max_servers)
-        if self.server_mttr <= 0:
+        if not self.server_mttr > 0:
             raise ValueError("server_mttr must be positive")
         if self.required_servers < 1:
             raise ValueError("required_servers must be at least 1")
@@ -58,7 +58,7 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("server_price", "infrastructure_price", "energy_price", "maintenance_rate"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
 

@@ -31,7 +31,6 @@ from .sweep import (
     REQUIREMENT_NAMES,
     Configuration,
     SweepDataset,
-    SweepRow,
     zscore,
 )
 
@@ -75,11 +74,9 @@ def _meets(requirements: np.ndarray, spec: RequirementSpec):
     )
 
 
-def is_feasible(row: SweepRow, spec: RequirementSpec) -> bool:
-    """True when the row meets every threshold (inclusive)."""
-    if row.requirements is None:
-        raise ValueError("row has no derived requirement values")
-    return bool(_meets(row.requirements.as_array(), spec))
+def is_feasible(requirements, spec: RequirementSpec) -> bool:
+    """True when one row's five requirement values meet every threshold (inclusive)."""
+    return bool(_meets(np.asarray(requirements, dtype=float), spec))
 
 
 def feasible_rows(dataset: SweepDataset, spec: RequirementSpec) -> np.ndarray:
@@ -141,29 +138,29 @@ def _resolve_spec(dataset: SweepDataset, spec: RequirementSpec | None) -> Requir
     return RequirementSpec()
 
 
+def row_json_dict(dataset: SweepDataset, i: int) -> dict:
+    """Row ``i``'s configuration labels and requirement values, by name."""
+    return {
+        "configuration": dict(zip(dataset.space.names, dataset.config(i).labels(dataset.space))),
+        "requirements": dict(zip(REQUIREMENT_NAMES, dataset.requirements[i].tolist())),
+    }
+
+
 @dataclass(frozen=True)
 class RankedConfig:
+    """A feasible row of a derived dataset: its configuration, score and index."""
+
     config: Configuration
     score: float
-    feasible: bool
-    row: SweepRow
+    index: int
 
     @classmethod
     def at(cls, dataset: SweepDataset, i: int, scores: np.ndarray) -> "RankedConfig":
         """Feasible row ``i`` of ``dataset`` with its score."""
-        row = dataset.row(i)
-        return cls(row.config, float(scores[i]), True, row)
+        return cls(dataset.config(i), float(scores[i]), i)
 
     def to_json_dict(self, dataset: SweepDataset) -> dict:
-        req = self.row.requirements
-        return {
-            "configuration": dict(zip(dataset.space.names, self.row.config.labels(dataset.space))),
-            "score": self.score,
-            "feasible": self.feasible,
-            "requirements": {
-                name: req.value(name) for name in REQUIREMENT_NAMES
-            } if req is not None else None,
-        }
+        return {**row_json_dict(dataset, self.index), "score": self.score, "feasible": True}
 
 
 def _feasible_order(
@@ -190,7 +187,7 @@ def _feasible_order(
         least = int(np.argmin(violation))
         raise NoFeasibleConfigurationError(
             "no configuration meets every requirement threshold",
-            least_violating=dataset.row(int(indices[least])).config,
+            least_violating=dataset.config(int(indices[least])),
             violation=float(violation[least]),
         )
     # Python's sort: np.lexsort would map about 0.1 MB more of numpy's code
@@ -302,7 +299,6 @@ def _improvement_ratio(name: str, baseline_value: float, picked_value: float) ->
 class ValidationResult:
     oracle: RankedConfig
     reduced: RankedConfig
-    baseline_row: SweepRow
     percent_differences: dict[str, float]
     max_negative_pct: float
     oracle_improvement: dict[str, float | None]
@@ -335,23 +331,23 @@ def validate(
     spec = _resolve_spec(dataset, spec)
     baseline = baseline or dataset.space.baseline_configuration()
     try:
-        baseline_row = dataset.row_for(baseline)
+        baseline_index = dataset.index_of(baseline)
     except KeyError:
         raise ConfigError("baseline configuration missing from the dataset") from None
-    if baseline_row.requirements is None:
-        raise ConfigError("baseline row has no derived requirement values")
+    if dataset.requirements is None:
+        raise ConfigError("dataset has no derived requirement values")
 
     oracle = oracle_best(dataset, spec, weights)
     reduced = reduced_best(dataset, report, spec, baseline)
 
-    o, r, b = (row.requirements.value for row in (oracle.row, reduced.row, baseline_row))
-    pct = {name: _percent_difference(name, o(name), r(name)) for name in REQUIREMENT_NAMES}
+    o, r, b = (dict(zip(REQUIREMENT_NAMES, dataset.requirements[i].tolist()))
+               for i in (oracle.index, reduced.index, baseline_index))
+    pct = {name: _percent_difference(name, o[name], r[name]) for name in REQUIREMENT_NAMES}
     return ValidationResult(
         oracle=oracle,
         reduced=reduced,
-        baseline_row=baseline_row,
         percent_differences=pct,
         max_negative_pct=max(0.0, max(-p for p in pct.values())),
-        oracle_improvement={n: _improvement_ratio(n, b(n), o(n)) for n in REQUIREMENT_NAMES},
-        reduced_improvement={n: _improvement_ratio(n, b(n), r(n)) for n in REQUIREMENT_NAMES},
+        oracle_improvement={n: _improvement_ratio(n, b[n], o[n]) for n in REQUIREMENT_NAMES},
+        reduced_improvement={n: _improvement_ratio(n, b[n], r[n]) for n in REQUIREMENT_NAMES},
     )

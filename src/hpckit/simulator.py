@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -31,9 +32,7 @@ from .errors import require_int
 from .sweep import (
     Configuration,
     KnobSpace,
-    MonitorVector,
     SweepDataset,
-    SweepRow,
     enumerate_configs,
     enumeration_rank,
 )
@@ -56,7 +55,7 @@ class WorkloadParams:
         if self.mc_iterations < 1:
             raise ValueError("mc_iterations must be at least 1")
         for name in ("deadline_s", "base_seconds", "result_processing_s"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.servers < 1 or self.cores_per_server < 1:
             raise ValueError("servers and cores_per_server must be positive")
@@ -103,7 +102,7 @@ class NoiseParams:
     def __post_init__(self):
         for f in ("time", "cpu_power", "dram_power", "peak_margin",
                   "temperature_c", "ipc", "mpki", "fit"):
-            if getattr(self, f) < 0:
+            if not getattr(self, f) >= 0:
                 raise ValueError(f"noise level {f} must be non-negative")
 
 
@@ -134,8 +133,14 @@ class KnobEffects:
     def __post_init__(self):
         for name in ("reference_frequency_ghz", "cpu_power_base_w", "ipc_per_core",
                      "mpki_base", "base_fit", "temperature_per_watt"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("dram_background_w", "dram_activity_w", "peak_margin_w"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("cpu_power_exponent", "temperature_ambient_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for knob_name, table in self.levels.items():
             for label, eff in table.items():
                 if not isinstance(eff, LevelEffect):
@@ -144,7 +149,7 @@ class KnobEffects:
                     )
                 if bad := next((f for f in _LEVEL_FACTORS if not getattr(eff, f) > 0), None):
                     raise ValueError(f"effect for {knob_name}/{label}: {bad} must be positive")
-                if eff.dram_background_w < 0 or eff.peak_surcharge_w < 0:
+                if not (eff.dram_background_w >= 0 and eff.peak_surcharge_w >= 0):
                     raise ValueError(
                         f"effect for {knob_name}/{label}: additive watt terms "
                         "must be non-negative"
@@ -285,7 +290,7 @@ class FaultModel:
         require_int("repair_intervals", self.repair_intervals)
         if self.probability is not None and not 0.0 <= self.probability < 1.0:
             raise ValueError("probability must lie in [0, 1)")
-        if self.probability_scale < 0:
+        if not self.probability_scale >= 0:
             raise ValueError("probability_scale must be non-negative")
         if self.repair_intervals < 0:
             raise ValueError("repair_intervals must be non-negative")
@@ -305,7 +310,7 @@ class IntervalRecord:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    monitors: MonitorVector
+    monitors: tuple[float, ...]  # in MONITOR_NAMES order
     intervals: tuple[IntervalRecord, ...]
 
     @property
@@ -450,18 +455,18 @@ def simulate_config_detailed(
     mpki_draws = [mpki * r for r in _relative_noise(noise.mpki, mpki_z)]
 
     server_mtbf = 1e9 / fit
-    monitors = MonitorVector(
-        execution_time=execution_time,
-        ipc=trimmed_mean(ipc_draws),
-        dram_power=trimmed_mean(dram_draws),
-        cpu_power=trimmed_mean(cpu_draws),
-        peak_power=trimmed_mean(peak_draws),
-        cpu_temperature=trimmed_mean(temp_draws),
-        mpki=trimmed_mean(mpki_draws),
-        server_mtbf=server_mtbf,
-        system_mtbf=server_mtbf,  # provisional; provisioning divides it later
-        capex=0.0,                # filled by requirement derivation
-        opex=0.0,
+    monitors = (
+        execution_time,
+        trimmed_mean(ipc_draws),
+        trimmed_mean(dram_draws),
+        trimmed_mean(cpu_draws),
+        trimmed_mean(peak_draws),
+        trimmed_mean(temp_draws),
+        trimmed_mean(mpki_draws),
+        server_mtbf,
+        server_mtbf,  # system MTBF, provisional; provisioning divides it later
+        0.0,          # capex and opex, filled by requirement derivation
+        0.0,
     )
     return SimulationResult(monitors, tuple(records))
 
@@ -497,18 +502,19 @@ def generate_sweep(
     underived; metadata records the seed, the parameter digest and the
     aggregate interval success fraction.
     """
-    rows, good = [], 0
+    levels, monitors, good = [], [], 0
     for config in enumerate_configs(space):
         result = simulate_config_detailed(
             space, config, params, effects, fault_model, n_intervals, seed
         )
-        rows.append(SweepRow(config, result.monitors))
+        levels.append(config.levels)
+        monitors.append(result.monitors)
         good += result.successes
     metadata = {
         "seed": str(seed),
         "parameters": parameters_digest(space, params, effects, fault_model),
         "mc_iterations": str(params.mc_iterations),
         "n_intervals": str(n_intervals),
-        "interval_success_fraction": format(good / (len(rows) * n_intervals), ".6f"),
+        "interval_success_fraction": format(good / (len(levels) * n_intervals), ".6f"),
     }
-    return SweepDataset.from_rows(space, rows, metadata)
+    return SweepDataset(space, levels, monitors, metadata=metadata)

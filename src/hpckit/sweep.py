@@ -13,14 +13,13 @@ import io
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, IngestionError
 
-# Canonical monitor order: (csv column name, attribute name).
+# Canonical monitor order: (csv column name, short name in check messages).
 MONITOR_FIELDS: tuple[tuple[str, str], ...] = (
     ("execution_time_s", "execution_time"),
     ("ipc", "ipc"),
@@ -36,7 +35,7 @@ MONITOR_FIELDS: tuple[tuple[str, str], ...] = (
 )
 MONITOR_NAMES: tuple[str, ...] = tuple(name for name, _ in MONITOR_FIELDS)
 
-# Canonical requirement order: (csv column name, attribute name).
+# Canonical requirement order: (csv column name, short name in check messages).
 REQUIREMENT_FIELDS: tuple[tuple[str, str], ...] = (
     ("performance_s", "performance"),
     ("power_w", "power"),
@@ -46,8 +45,8 @@ REQUIREMENT_FIELDS: tuple[tuple[str, str], ...] = (
 )
 REQUIREMENT_NAMES: tuple[str, ...] = tuple(name for name, _ in REQUIREMENT_FIELDS)
 
-_MONITOR_ATTR = dict(MONITOR_FIELDS)
-_REQUIREMENT_ATTR = dict(REQUIREMENT_FIELDS)
+_MONITOR_ATTRS = tuple(attr for _, attr in MONITOR_FIELDS)
+_REQUIREMENT_ATTRS = tuple(attr for _, attr in REQUIREMENT_FIELDS)
 _MONITOR_COLUMN = {name: j for j, name in enumerate(MONITOR_NAMES)}
 _REQUIREMENT_COLUMN = {name: j for j, name in enumerate(REQUIREMENT_NAMES)}
 _NON_NEGATIVE_MONITORS = ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex")
@@ -77,6 +76,8 @@ class KnobLevel:
     def __post_init__(self):
         if not self.label:
             raise ValueError("knob level label must be non-empty")
+        if self.value is not None and not math.isfinite(self.value):
+            raise ValueError(f"knob level {self.label!r}: value must be finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,59 +231,6 @@ def zscore(series: np.ndarray) -> np.ndarray:
     return (arr - arr.mean()) / sd
 
 
-@dataclass(frozen=True)
-class MonitorVector:
-    """The eleven measured monitor values for one configuration."""
-
-    execution_time: float
-    ipc: float
-    dram_power: float
-    cpu_power: float
-    peak_power: float
-    cpu_temperature: float
-    mpki: float
-    server_mtbf: float
-    system_mtbf: float
-    capex: float
-    opex: float
-
-    def value(self, monitor_name: str) -> float:
-        return getattr(self, _MONITOR_ATTR[monitor_name])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.value(n) for n in MONITOR_NAMES], dtype=float)
-
-
-@dataclass(frozen=True)
-class RequirementValues:
-    """The five derived requirement values for one configuration."""
-
-    performance: float
-    power: float
-    energy: float
-    availability: float
-    cost: float
-
-    def value(self, requirement_name: str) -> float:
-        return getattr(self, _REQUIREMENT_ATTR[requirement_name])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.value(n) for n in REQUIREMENT_NAMES], dtype=float)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One configuration with its monitors and, once derived, requirements."""
-
-    config: Configuration
-    monitors: MonitorVector
-    requirements: RequirementValues | None = None
-
-
-_monitor_tuple = operator.attrgetter(*_MONITOR_ATTR.values())
-_requirement_tuple = operator.attrgetter(*_REQUIREMENT_ATTR.values())
-
-
 def _energy_mismatch(c):
     """Where energy is not performance * power by math.isclose's rule, both tolerances 1e-9."""
     with np.errstate(invalid="ignore"):  # such rows fail the finiteness rules first
@@ -295,7 +243,7 @@ def _energy_mismatch(c):
 # is formatted with that row's values.
 _MONITOR_RULES = (
     *((lambda c, a=a: ~np.isfinite(c[a]), f"monitor {a} must be finite, got {{{a}!r}}")
-      for a in _MONITOR_ATTR.values()),
+      for a in _MONITOR_ATTRS),
     (lambda c: c["execution_time"] <= 0, "execution_time must be positive"),
     *((lambda c, a=a: c[a] < 0, f"monitor {a} must be non-negative")
       for a in _NON_NEGATIVE_MONITORS),
@@ -305,7 +253,7 @@ _MONITOR_RULES = (
 )
 _REQUIREMENT_RULES = (
     *((lambda c, a=a: ~np.isfinite(c[a]), f"requirement {a} must be finite, got {{{a}!r}}")
-      for a in _REQUIREMENT_ATTR.values()),
+      for a in _REQUIREMENT_ATTRS),
     # a NaN availability has failed the finiteness rule already
     (lambda c: (c["availability"] < 0.0) | (c["availability"] > 1.0),
      "availability must lie in [0, 1]"),
@@ -331,9 +279,9 @@ def _rules(space: KnobSpace, derived: bool) -> tuple:
 def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
                  requirements: np.ndarray | None) -> tuple[int, str] | None:
     """The first row that breaks a rule and the first rule it breaks, or None."""
-    c = {"levels": levels, **dict(zip(_MONITOR_ATTR.values(), monitors.T))}
+    c = {"levels": levels, **dict(zip(_MONITOR_ATTRS, monitors.T))}
     if requirements is not None:
-        c.update(zip(_REQUIREMENT_ATTR.values(), requirements.T))
+        c.update(zip(_REQUIREMENT_ATTRS, requirements.T))
         with np.errstate(over="ignore", invalid="ignore"):
             c["product"] = c["performance"] * c["power"]
     rules = _rules(space, requirements is not None)
@@ -358,8 +306,7 @@ class SweepDataset:
     ``requirements`` the five requirement values (float64, [rows, 5]), or
     None before derivation; all three are read-only, columns in the
     canonical orders. ``rank`` is each row's position in
-    ``enumerate_configs(space)``. Every column is checked once here;
-    ``row(i)`` and ``rows`` give SweepRow views for row-wise callers.
+    ``enumerate_configs(space)``. Every column is checked once here.
 
     ``metadata`` holds provenance strings (seed, parameter hash) which
     are written out as comment lines in the CSV form.
@@ -376,7 +323,6 @@ class SweepDataset:
     requirement_spec: object | None = None
     rank: np.ndarray = field(init=False, repr=False)
     _row_of_rank: dict = field(init=False, repr=False)
-    _views: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.levels)
@@ -403,22 +349,6 @@ class SweepDataset:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_row_of_rank", row_of_rank)
 
-    @classmethod
-    def from_rows(cls, space: KnobSpace, rows, metadata=None,
-                  requirement_spec=None) -> "SweepDataset":
-        """Build the columns from SweepRow objects, in the given order."""
-        rows = tuple(rows)
-        if (derived := {r.requirements is not None for r in rows}) == {True, False}:
-            raise ValueError("either every row has requirement values or none does")
-        return cls(
-            space,
-            [r.config.levels for r in rows],
-            [_monitor_tuple(r.monitors) for r in rows],
-            [_requirement_tuple(r.requirements) for r in rows] if True in derived else None,
-            {} if metadata is None else metadata,
-            requirement_spec,
-        )
-
     def __len__(self) -> int:
         return len(self.levels)
 
@@ -430,22 +360,8 @@ class SweepDataset:
     def is_derived(self) -> bool:
         return self.requirements is not None
 
-    def row(self, i: int) -> SweepRow:
-        """A view of row ``i``; the same object on every call."""
-        i = range(len(self))[i]
-        view = self._views.get(i)
-        if view is None:
-            req = self.requirements
-            view = self._views[i] = SweepRow(
-                Configuration(tuple(self.levels[i].tolist())),
-                MonitorVector(*self.monitors[i].tolist()),
-                None if req is None else RequirementValues(*req[i].tolist()),
-            )
-        return view
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        return tuple(map(self.row, range(len(self))))
+    def config(self, i: int) -> Configuration:
+        return Configuration(tuple(self.levels[i].tolist()))
 
     def configs(self) -> list[Configuration]:
         return [Configuration(tuple(lv)) for lv in self.levels.tolist()]
@@ -467,12 +383,12 @@ class SweepDataset:
         values = np.array([knob.numeric_value(i) for i in range(len(knob.levels))])
         return values[self.levels[:, self.space.knob_index(name)]]
 
-    def row_for(self, config: Configuration) -> SweepRow:
+    def index_of(self, config: Configuration) -> int:
+        """The row holding ``config``; KeyError when there is none."""
         try:
-            i = self._row_of_rank[enumeration_rank(self.space, config)]
+            return self._row_of_rank[enumeration_rank(self.space, config)]
         except (KeyError, ValueError):
             raise KeyError(f"no row for configuration {config.levels}") from None
-        return self.row(i)
 
 
 def export_csv(ds: SweepDataset, path_or_file) -> None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -151,6 +152,16 @@ def test_search_top_limits_leaderboard(tmp_path):
     ranked = [l for l in board.read_text().splitlines()
               if l.strip() and not l.startswith("#") and l.strip()[0].isdigit()]
     assert len(ranked) == 3
+
+
+@pytest.mark.parametrize("top", ["0", "-5"])
+def test_search_top_below_one_exits_one(tmp_path, capsys, top):
+    derived = _derived_csv(tmp_path)
+    out = tmp_path / "s.json"
+    assert run("search", "--dataset", derived, "--top", top, "--out", out,
+               "--leaderboard", tmp_path / "l.txt") == 1
+    assert f"argument --top: must be at least 1, got {top}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _derived_csv(workdir: Path) -> Path:
@@ -435,6 +446,45 @@ def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, ke
     err = capsys.readouterr().err
     assert f"{key} must be an integer" in err
     assert f"section '{next(iter(config))}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"workload": {"deadline_s": math.nan}}, "deadline_s must be positive"),
+    ({"metrics": {"server_price": math.nan}}, "server_price must be non-negative"),
+    ({"metrics": {"mttr_h": math.nan}}, "server_mttr must be positive"),
+    ({"effects": {"cpu_power_base_w": math.nan}}, "cpu_power_base_w must be positive"),
+    ({"effects": {"dram_background_w": -20.0}}, "dram_background_w must be non-negative"),
+    ({"effects": {"dram_activity_w": math.nan}}, "dram_activity_w must be non-negative"),
+    ({"effects": {"peak_margin_w": -1.0}}, "peak_margin_w must be non-negative"),
+    ({"effects": {"cpu_power_exponent": math.nan}}, "cpu_power_exponent must be finite"),
+    ({"effects": {"temperature_ambient_c": math.inf}}, "temperature_ambient_c must be finite"),
+    ({"effects": {"noise": {"time": math.nan}}}, "noise level time must be non-negative"),
+    ({"effects": {"fault": {"probability_scale": math.nan}}},
+     "probability_scale must be non-negative"),
+    ({"effects": {"levels": {"SMT": {"Enable": {"peak_surcharge_w": math.nan}}}}},
+     "additive watt terms must be non-negative"),
+])
+def test_nan_or_negative_config_scalar_exits_one(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # NaN, which json.load reads back
+    out = tmp_path / "s.csv"
+    assert run("--config", cfg, "simulate", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"config section '{next(iter(config))}'" in err and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_space_with_a_non_finite_level_value_exits_one(tmp_path, capsys, value):
+    space = cli.default_knob_space().to_json_dict()
+    space["knobs"][0]["levels"][3]["value"] = value  # DVFS 2.6GHz
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(space))
+    out = tmp_path / "s.csv"
+    assert run("simulate", "--space", space_file, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"--space {space_file}" in err and "value must be finite" in err, err
     assert not out.exists()
 
 

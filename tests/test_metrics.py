@@ -19,9 +19,9 @@ from hpckit.metrics import (
     server_availability,
     system_availability,
 )
-from hpckit.sweep import SweepDataset
+from hpckit.sweep import REQUIREMENT_FIELDS, SweepDataset
 
-from util import brute_force_system_availability, monitor_vector, space_of
+from util import brute_force_system_availability, monitor_vector, named, space_of
 
 
 # -------------------------------------------------------------- energy/power
@@ -247,9 +247,8 @@ def _models():
 
 def derive_requirements(monitors, avail_model, cost_model):
     """Requirements and provisioned monitors of a one-row dataset."""
-    ds = SweepDataset(space_of(2), [(0,)], [monitors.as_array()])
-    row = derive_dataset(ds, avail_model, cost_model).row(0)
-    return row.requirements, row.monitors
+    derived = derive_dataset(SweepDataset(space_of(2), [(0,)], [monitors]), avail_model, cost_model)
+    return named(derived.requirements[0], REQUIREMENT_FIELDS), named(derived.monitors[0])
 
 
 def test_derive_requirements_reference_monitors():

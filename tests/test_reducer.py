@@ -413,8 +413,8 @@ def test_reduce_thresholds_echoed_in_report(derived_dataset):
 
 
 def _permuted(ds: SweepDataset, order) -> SweepDataset:
-    rows = tuple(ds.rows[i] for i in order)
-    return SweepDataset.from_rows(ds.space, rows, dict(ds.metadata), ds.requirement_spec)
+    return SweepDataset(ds.space, ds.levels[order], ds.monitors[order], ds.requirements[order],
+                        dict(ds.metadata), ds.requirement_spec)
 
 
 def test_reduce_default_dataset_is_permutation_stable(derived_dataset, default_report):

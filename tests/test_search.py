@@ -11,6 +11,7 @@ from hpckit.cli import render_validation
 from hpckit.errors import ConfigError, NoFeasibleConfigurationError
 from hpckit.metrics import RequirementSpec
 from hpckit.search import (
+    feasible_rows,
     is_feasible,
     oracle_best,
     rank_feasible,
@@ -19,11 +20,10 @@ from hpckit.search import (
     validate,
 )
 from hpckit.sweep import (
+    REQUIREMENT_FIELDS,
     REQUIREMENT_NAMES,
     Configuration,
-    RequirementValues,
     SweepDataset,
-    SweepRow,
     enumerate_configs,
     zscore,
 )
@@ -33,6 +33,7 @@ from util import (
     dataset_from_requirements,
     make_report,
     monitor_vector,
+    named,
     proxy_dataset,
     proxy_report,
     requirement_values,
@@ -52,14 +53,16 @@ WIDE_OPEN = RequirementSpec(
 
 
 def _row(performance, power, availability, cost=5000.0):
-    return SweepRow(
-        Configuration((0,)),
-        monitor_vector(),
-        requirement_values(
-            performance=performance, power=power,
-            availability=availability, cost=cost,
-        ),
+    """One row's requirement values."""
+    return requirement_values(
+        performance=performance, power=power,
+        availability=availability, cost=cost,
     )
+
+
+def _requirements(ds, i):
+    """Row ``i``'s requirement values by short name."""
+    return named(ds.requirements[i], REQUIREMENT_FIELDS)
 
 
 # ---------------------------------------------------------------- feasibility
@@ -72,7 +75,7 @@ def test_boundary_values_are_feasible_inclusively():
 def _threshold_violation(row, spec):
     """The no-feasible error's violation for a dataset of ``row`` alone; 0 when feasible."""
     try:
-        oracle_best(SweepDataset.from_rows(space_of(2), [row]), spec)
+        oracle_best(SweepDataset(space_of(2), [(0,)], [monitor_vector()], [row]), spec)
     except NoFeasibleConfigurationError as exc:
         return exc.violation
     return 0.0
@@ -178,8 +181,8 @@ def test_custom_weights_change_the_ranking():
     by_power = oracle_best(ds, weights={"performance_s": 0.0, "power_w": 1.0,
                                         "energy_j": 0.0, "availability": 0.0,
                                         "cost": 0.0})
-    assert by_perf.row.requirements.performance == 100.0
-    assert by_power.row.requirements.power == 40.0
+    assert _requirements(ds, by_perf.index).performance == 100.0
+    assert _requirements(ds, by_power.index).power == 40.0
 
 
 def test_negative_weights_are_rejected():
@@ -219,16 +222,16 @@ def test_single_row_feasible_dataset_returns_that_row():
         space_of(2), [monitor_vector(), monitor_vector()],
         [requirement_values(), requirement_values()], spec=WIDE_OPEN,
     )
-    single = SweepDataset.from_rows(ds.space, ds.rows[:1], {}, requirement_spec=WIDE_OPEN)
+    single = SweepDataset(ds.space, ds.levels[:1], ds.monitors[:1], ds.requirements[:1],
+                          requirement_spec=WIDE_OPEN)
     best = oracle_best(single)
-    assert best.row is single.rows[0]
-    assert best.feasible
+    assert best.index == 0
+    assert is_feasible(single.requirements[best.index], WIDE_OPEN)
 
 
 def test_single_infeasible_row_raises():
-    row = SweepRow(Configuration((0,)), monitor_vector(),
-                   requirement_values(performance=1e4, power=81.0))
-    ds = SweepDataset.from_rows(space_of(2), (row,), {}, requirement_spec=TABLE_SPEC)
+    ds = SweepDataset(space_of(2), [(0,)], [monitor_vector()],
+                      [requirement_values(performance=1e4, power=81.0)], requirement_spec=TABLE_SPEC)
     with pytest.raises(NoFeasibleConfigurationError):
         oracle_best(ds)
 
@@ -242,7 +245,7 @@ def test_unique_feasible_row_wins_regardless_of_score():
         [1000.0, 1000.0, 99000.0, 1000.0],
     )
     best = oracle_best(ds, spec=TABLE_SPEC)
-    assert best.row.requirements.performance == 590.0
+    assert _requirements(ds, best.index).performance == 590.0
     scores = score_requirements(ds)
     assert scores[2] == max(scores)
 
@@ -250,11 +253,10 @@ def test_unique_feasible_row_wins_regardless_of_score():
 def test_rank_feasible_breaks_score_ties_by_enumeration_order():
     # rows listed in reverse enumeration order; levels 0 and 2 tie, as do 1 and 3
     perf = {0: 300.0, 1: 400.0}
-    ds = SweepDataset.from_rows(space_of(4), [
-        SweepRow(Configuration((k,)), monitor_vector(), requirement_values(performance=perf[k % 2]))
-        for k in (3, 2, 1, 0)])
+    ds = SweepDataset(space_of(4), [(k,) for k in (3, 2, 1, 0)], [monitor_vector()] * 4,
+                      [requirement_values(performance=perf[k % 2]) for k in (3, 2, 1, 0)])
     scores, order = rank_feasible(ds, WIDE_OPEN)
-    assert [ds.row(i).config.levels for i in order] == [(0,), (2,), (1,), (3,)]
+    assert [ds.config(i).levels for i in order] == [(0,), (2,), (1,), (3,)]
     assert scores[order[0]] == scores[order[1]] < scores[order[2]] == scores[order[3]]
     assert oracle_best(ds, WIDE_OPEN).config == Configuration((0,))
 
@@ -271,14 +273,13 @@ def test_no_feasible_row_names_least_violating():
     err = exc.value
     assert err.least_violating is not None
     # the 650 s row overshoots 600 s by the smallest margin
-    row = next(r for r in ds.rows if r.config == err.least_violating)
-    assert row.requirements.performance == 650.0
+    assert _requirements(ds, ds.index_of(err.least_violating)).performance == 650.0
     assert math.isclose(err.violation, 50.0 / 600.0, rel_tol=1e-12)
 
 
 def test_oracle_matches_independent_brute_force(derived_dataset):
     spec = derived_dataset.requirement_spec
-    rows = derived_dataset.rows
+    rows = [named(r, REQUIREMENT_FIELDS) for r in derived_dataset.requirements.tolist()]
 
     def z(xs):
         m = sum(xs) / len(xs)
@@ -288,14 +289,13 @@ def test_oracle_matches_independent_brute_force(derived_dataset):
     directions = {"performance_s": 1, "power_w": 1, "energy_j": 1,
                   "availability": -1, "cost": 1}
     scores = [0.0] * len(rows)
-    for name in REQUIREMENT_NAMES:
-        col = [r.requirements.value(name) for r in rows]
+    for name, attr in REQUIREMENT_FIELDS:
+        col = [getattr(q, attr) for q in rows]
         zz = z(col)
         for i in range(len(rows)):
             scores[i] += 0.2 * directions[name] * zz[i]
 
-    def feasible(r):
-        q = r.requirements
+    def feasible(q):
         return (q.performance <= spec.performance_max
                 and q.power <= spec.power_max
                 and q.energy <= spec.energy_max
@@ -306,7 +306,7 @@ def test_oracle_matches_independent_brute_force(derived_dataset):
     winner = min(candidates, key=lambda i: (scores[i], i))
 
     best = oracle_best(derived_dataset)
-    assert best.config == rows[winner].config
+    assert best.config == derived_dataset.config(winner)
     assert math.isclose(best.score, scores[winner], rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -353,7 +353,8 @@ def test_perfect_proxies_reach_the_oracle_exactly():
 def test_default_dataset_gap_within_five_percent(derived_dataset, default_report):
     result = validate(derived_dataset, default_report)
     assert result.max_negative_pct <= 0.05
-    assert result.oracle.feasible and result.reduced.feasible
+    feasible = feasible_rows(derived_dataset, derived_dataset.requirement_spec)
+    assert feasible[result.oracle.index] and feasible[result.reduced.index]
 
 
 def test_reduced_five_percent_slower_gives_exact_gap():
@@ -374,8 +375,8 @@ def test_reduced_five_percent_slower_gives_exact_gap():
     ds = build_dataset(space, mons, reqs, spec=WIDE_OPEN)
     report = make_report(ds, ["execution_time_s"], ["K0"])
     result = validate(ds, report)
-    assert result.oracle.row.requirements.performance == 100.0
-    assert result.reduced.row.requirements.performance == 105.0
+    assert _requirements(ds, result.oracle.index).performance == 100.0
+    assert _requirements(ds, result.reduced.index).performance == 105.0
     assert not result.picks_agree
     assert result.percent_differences["performance_s"] == -0.05
     assert result.max_negative_pct == 0.05
@@ -383,11 +384,13 @@ def test_reduced_five_percent_slower_gives_exact_gap():
 
 def test_validate_requires_baseline_row(derived_dataset, default_report):
     baseline = derived_dataset.space.baseline_configuration()
-    rows = tuple(r for r in derived_dataset.rows if r.config != baseline)
-    assert len(rows) == len(derived_dataset.rows) - 1
-    no_baseline = SweepDataset.from_rows(
+    rows = [i for i, c in enumerate(derived_dataset.configs()) if c != baseline]
+    assert len(rows) == len(derived_dataset) - 1
+    no_baseline = SweepDataset(
         derived_dataset.space,
-        rows,
+        derived_dataset.levels[rows],
+        derived_dataset.monitors[rows],
+        derived_dataset.requirements[rows],
         dict(derived_dataset.metadata),
         derived_dataset.requirement_spec,
     )
@@ -407,10 +410,7 @@ def test_improvement_ratios_are_finite_and_positive(derived_dataset, default_rep
 def test_oracle_score_never_beaten_by_reduced_pick(derived_dataset, default_report):
     result = validate(derived_dataset, default_report)
     scores = score_requirements(derived_dataset)
-    reduced_index = next(
-        i for i, r in enumerate(derived_dataset.rows)
-        if r.config == result.reduced.config
-    )
+    reduced_index = derived_dataset.index_of(result.reduced.config)
     assert result.oracle.score <= scores[reduced_index] + 1e-12
     assert result.max_negative_pct >= 0.0
 
@@ -431,9 +431,7 @@ def test_reduced_search_never_beats_oracle_on_random_datasets(seed):
     result = validate(ds, report)
     assert result.max_negative_pct >= 0.0
     scores = score_requirements(ds)
-    reduced_index = next(
-        i for i, r in enumerate(ds.rows) if r.config == result.reduced.config
-    )
+    reduced_index = ds.index_of(result.reduced.config)
     assert result.oracle.score <= scores[reduced_index] + 1e-12
 
 

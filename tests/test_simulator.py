@@ -37,7 +37,7 @@ from hpckit.sweep import (
     export_csv_string,
 )
 
-from util import space_of
+from util import named, space_of
 
 
 # -------------------------------------------------------------- interval time
@@ -194,7 +194,7 @@ def test_zero_fault_probability_gives_exact_interval_time(default_space):
     assert all(r.outcome is FaultCase.NO_FAULT for r in result.intervals)
     assert result.success_fraction == 1.0
     nominal = interval_time(default_space, config, params, effects, params.servers)
-    assert result.monitors.execution_time == nominal
+    assert named(result.monitors).execution_time == nominal
 
 
 def test_same_seed_reproduces_the_monitor_vector(default_space):
@@ -281,12 +281,12 @@ def _check_dvfs_monotone(others, seed, fault):
                                  default_effects(), fault, seed=seed)
         for lvl in range(4)
     ]
-    powers = [r.monitors.cpu_power for r in results]
+    powers = [named(r.monitors).cpu_power for r in results]
     assert all(a <= b for a, b in zip(powers, powers[1:]))
     fault_free = all(rec.outcome is FaultCase.NO_FAULT
                      for r in results for rec in r.intervals)
     if fault_free:
-        times = [r.monitors.execution_time for r in results]
+        times = [named(r.monitors).execution_time for r in results]
         assert all(a >= b for a, b in zip(times, times[1:]))
     return fault_free
 
@@ -317,8 +317,9 @@ def test_a_fault_can_make_a_faster_dvfs_level_slower():
     assert all(rec.outcome is FaultCase.NO_FAULT for rec in slower.intervals)
     assert FaultCase.CASE1 in {rec.outcome for rec in faster.intervals}
     assert faster.intervals[-1].servers_up < slower.intervals[-1].servers_up
-    assert faster.monitors.execution_time > slower.monitors.execution_time
-    assert faster.monitors.cpu_power > slower.monitors.cpu_power
+    faster, slower = named(faster.monitors), named(slower.monitors)
+    assert faster.execution_time > slower.execution_time
+    assert faster.cpu_power > slower.cpu_power
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,10 +333,10 @@ def test_redundancy_trades_time_for_reliability(front, seed):
     params = default_workload()
     effects = default_effects()
     fault = default_fault_model()
-    off = simulate_config_detailed(space, Configuration((*front, 0)), params, effects,
-                                   fault, seed=seed).monitors
-    on = simulate_config_detailed(space, Configuration((*front, 1)), params, effects,
-                                  fault, seed=seed).monitors
+    off = named(simulate_config_detailed(space, Configuration((*front, 0)), params, effects,
+                                         fault, seed=seed).monitors)
+    on = named(simulate_config_detailed(space, Configuration((*front, 1)), params, effects,
+                                        fault, seed=seed).monitors)
     # halved cores can only slow the run down
     assert on.execution_time >= off.execution_time
     # the lower FIT rate can only raise server MTBF, hence availability
@@ -388,10 +389,10 @@ def test_success_fraction_accounting_matches_interval_log():
         good = 0
         total = 0
         records = []
-        for row in ds.rows:
-            detail = simulate_config_detailed(space, row.config, params, effects,
+        for config, monitors in zip(ds.configs(), ds.monitors.tolist()):
+            detail = simulate_config_detailed(space, config, params, effects,
                                               fault, seed=5)
-            assert detail.monitors == row.monitors
+            assert detail.monitors == tuple(monitors)
             bad = sum(1 for r in detail.intervals
                       if r.outcome in (FaultCase.CASE2, FaultCase.CASE3))
             frac = (len(detail.intervals) - bad) / len(detail.intervals)

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,12 +27,12 @@ from hpckit.reducer import reduce
 from hpckit.search import oracle_best, validate
 from hpckit.simulator import generate_sweep
 from hpckit.sweep import (
+    MONITOR_FIELDS,
+    REQUIREMENT_FIELDS,
     Configuration,
     KnobDef,
     KnobLevel,
     KnobSpace,
-    MonitorVector,
-    RequirementValues,
     SweepDataset,
     enumerate_configs,
     enumeration_rank,
@@ -92,8 +91,8 @@ def test_enumeration_rank_matches_list_position(sizes):
 def _dataset_of(space, configs, monitors=None, requirements=None):
     """A dataset over ``configs``, every row with ``monitors`` or the default values."""
     return SweepDataset(space, [c.levels for c in configs],
-                        [(monitors or monitor_vector()).as_array()] * len(configs),
-                        None if requirements is None else [requirements.as_array()] * len(configs))
+                        [monitors or monitor_vector()] * len(configs),
+                        None if requirements is None else [requirements] * len(configs))
 
 
 def test_dvfs_column_uses_physical_frequencies(default_space):
@@ -202,13 +201,21 @@ def test_knobdef_rejects_non_increasing_values():
         KnobDef("K", (KnobLevel("a", 2.0), KnobLevel("b", 1.0)), baseline=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_knob_space_rejects_non_finite_level_values(default_space, value):
+    data = default_space.to_json_dict()
+    data["knobs"][0]["levels"][3]["value"] = value
+    with pytest.raises(ValueError, match="value must be finite"):
+        KnobSpace.from_json_dict(data)
+
+
 def test_knob_space_json_round_trip(default_space):
     clone = KnobSpace.from_json_dict(default_space.to_json_dict())
     assert clone == default_space
 
 
-# ------------------------------------------------------------- vector types
-# The row types are unchecked views; a dataset checks their values.
+# ------------------------------------------------------------- row checks
+# A dataset checks each row's values.
 
 
 def _one_row(monitors, requirements=None):
@@ -232,7 +239,7 @@ def test_monitor_vector_rejects_non_finite_values():
 
 def test_requirement_values_reject_energy_mismatch():
     with pytest.raises(ValueError, match=re.escape("(4000.0 vs 5000.0)")):
-        _one_row(monitor_vector(), RequirementValues(
+        _one_row(monitor_vector(), requirement_values(
             performance=100.0, power=50.0, energy=4000.0,
             availability=0.99, cost=1000.0,
         ))
@@ -246,21 +253,17 @@ def test_requirement_values_reject_availability_above_one():
 # ------------------------------------------------------------ CSV round trip
 
 
-def _row_values(row):
-    values = list(row.monitors.as_array())
-    if row.requirements is not None:
-        values += list(row.requirements.as_array())
-    return np.array(values)
+def _values(ds):
+    return ds.monitors if ds.requirements is None else np.hstack([ds.monitors, ds.requirements])
 
 
 def _assert_same_dataset(a, b):
     assert a.space == b.space
     assert a.metadata == b.metadata
     assert len(a) == len(b)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.config == rb.config
-        assert (ra.requirements is None) == (rb.requirements is None)
-        np.testing.assert_allclose(_row_values(ra), _row_values(rb), rtol=1e-11)
+    assert a.configs() == b.configs()
+    assert a.is_derived == b.is_derived
+    np.testing.assert_allclose(_values(a), _values(b), rtol=1e-11)
 
 
 def test_round_trip_of_simulated_sweep(raw_dataset):
@@ -309,7 +312,7 @@ def random_dataset(draw):
             )
         )
         reqs.append(
-            RequirementValues(
+            requirement_values(
                 performance=perf,
                 power=power,
                 energy=perf * power,
@@ -368,10 +371,10 @@ cell_fault = st.tuples(st.integers(0, 3), st.sampled_from(["mon", "req"]),
                        st.integers(0, 10), edge)
 
 
-def _row_type_fault(m, r):
-    """The scalar checks the row types once made on a row, in their order."""
-    mon = dict(zip((f.name for f in fields(MonitorVector)), m))
-    req = dict(zip((f.name for f in fields(RequirementValues)), r))
+def _row_fault(m, r):
+    """The scalar checks on one row, in reporting order."""
+    mon = dict(zip((attr for _, attr in MONITOR_FIELDS), m))
+    req = dict(zip((attr for _, attr in REQUIREMENT_FIELDS), r))
     for name, v in mon.items():
         if not math.isfinite(v):
             return f"monitor {name} must be finite, got {v!r}"
@@ -404,8 +407,8 @@ def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults)
     # the scalar checks above are the reference: a dataset accepts its
     # columns only when every row passes them, and otherwise names the
     # first bad row and its first failed check
-    monitors = [monitor_vector().as_array().tolist() for _ in offsets]
-    requirements = [requirement_values().as_array().tolist() for _ in offsets]
+    monitors = [list(monitor_vector()) for _ in offsets]
+    requirements = [list(requirement_values()) for _ in offsets]
     for r, offset in zip(requirements, offsets):
         r[2] += offset * r[2]
     for row, kind, column, value in faults:
@@ -414,12 +417,11 @@ def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults)
         else:
             requirements[row][column % 5] = value
     first_bad = next((f"row {i}: {fault}" for i, (m, r) in enumerate(zip(monitors, requirements))
-                      if (fault := _row_type_fault(m, r)) is not None), None)
+                      if (fault := _row_fault(m, r)) is not None), None)
     levels = [c.levels for c in enumerate_configs(space_of(4))]
     if first_bad is None:
         ds = SweepDataset(space_of(4), levels, monitors, requirements)
-        assert [(r.monitors, r.requirements) for r in ds.rows] == [
-            (MonitorVector(*m), RequirementValues(*r)) for m, r in zip(monitors, requirements)]
+        assert (ds.monitors.tolist(), ds.requirements.tolist()) == (monitors, requirements)
     else:
         with pytest.raises(ValueError) as exc:
             SweepDataset(space_of(4), levels, monitors, requirements)
@@ -430,7 +432,7 @@ def test_column_checks_reject_exactly_what_the_row_types_reject(offsets, faults)
 def test_energy_check_keeps_math_isclose_boundary(energy):
     # |energy - performance * power| equal to abs_tol passes, as in math.isclose
     req = [0.0, 70.0, energy, 0.995, 5050.0]
-    mons = [monitor_vector().as_array().tolist()] * 2
+    mons = [list(monitor_vector())] * 2
     if math.isclose(energy, 0.0, rel_tol=1e-9, abs_tol=1e-9):
         SweepDataset(space_of(2), [(0,), (1,)], mons, [req] * 2)
     else:
@@ -439,7 +441,7 @@ def test_energy_check_keeps_math_isclose_boundary(energy):
 
 
 def test_dataset_rejects_out_of_range_levels_and_duplicates():
-    mons = [monitor_vector().as_array().tolist()] * 4
+    mons = [list(monitor_vector())] * 4
     with pytest.raises(ValueError, match="row 2: level index 4 out of range for knob 'K0'"):
         SweepDataset(space_of(4), [(0,), (1,), (4,), (3,)], mons)
     with pytest.raises(ValueError, match=r"duplicate configuration \(1,\)"):

@@ -9,6 +9,8 @@ exactly, not just to within round-off.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from hpckit.reducer import (
@@ -18,16 +20,12 @@ from hpckit.reducer import (
     ReductionReport,
 )
 from hpckit.sweep import (
-    MONITOR_NAMES,
+    MONITOR_FIELDS,
     REQUIREMENT_NAMES,
-    Configuration,
     KnobDef,
     KnobLevel,
     KnobSpace,
-    MonitorVector,
-    RequirementValues,
     SweepDataset,
-    SweepRow,
     enumerate_configs,
 )
 
@@ -46,12 +44,14 @@ MONITOR_DEFAULTS = dict(
 )
 
 
-def monitor_vector(**overrides) -> MonitorVector:
-    values = dict(MONITOR_DEFAULTS)
-    values.update(overrides)
+def monitor_vector(**overrides) -> tuple[float, ...]:
+    """One row's eleven monitor values in MONITOR_NAMES order, set by short name."""
+    if unknown := set(overrides) - set(MONITOR_DEFAULTS):
+        raise TypeError(f"unknown monitor(s) {sorted(unknown)}")
+    values = {**MONITOR_DEFAULTS, **overrides}
     if "peak_power" not in overrides and values["cpu_power"] > values["peak_power"]:
         values["peak_power"] = values["cpu_power"] * 1.25
-    return MonitorVector(**values)
+    return tuple(values[attr] for _, attr in MONITOR_FIELDS)
 
 
 def requirement_values(
@@ -60,10 +60,16 @@ def requirement_values(
     availability: float = 0.995,
     cost: float = 5050.0,
     energy: float | None = None,
-) -> RequirementValues:
+) -> tuple[float, ...]:
+    """One row's five requirement values in REQUIREMENT_NAMES order."""
     if energy is None:
         energy = performance * power
-    return RequirementValues(performance, power, energy, availability, cost)
+    return (performance, power, energy, availability, cost)
+
+
+def named(values, fields=MONITOR_FIELDS) -> SimpleNamespace:
+    """One row's values as attributes named by the short names of ``fields``."""
+    return SimpleNamespace(**{attr: float(v) for (_, attr), v in zip(fields, values)})
 
 
 def space_of(*sizes: int) -> KnobSpace:
@@ -90,11 +96,8 @@ def build_dataset(
     configs = enumerate_configs(space)
     if len(monitor_rows) != len(configs):
         raise ValueError("one monitor vector per enumerated configuration required")
-    rows = []
-    for i, config in enumerate(configs):
-        req = None if requirement_rows is None else requirement_rows[i]
-        rows.append(SweepRow(config, monitor_rows[i], req))
-    return SweepDataset.from_rows(space, tuple(rows), metadata or {}, requirement_spec=spec)
+    return SweepDataset(space, [c.levels for c in configs], monitor_rows, requirement_rows,
+                        metadata or {}, requirement_spec=spec)
 
 
 def dataset_from_requirements(
@@ -102,7 +105,7 @@ def dataset_from_requirements(
 ) -> SweepDataset:
     """Derived dataset with prescribed requirement columns.
 
-    Energy is always performance times power, as the row type requires.
+    Energy is always performance times power, as the dataset's checks require.
     Monitors get mild random variation so every monitor column is
     usable, without influencing the requirement columns under test.
     """
@@ -126,7 +129,7 @@ def dataset_from_requirements(
             )
         )
         reqs.append(
-            RequirementValues(
+            requirement_values(
                 performance=float(perf[i]),
                 power=float(power[i]),
                 energy=float(perf[i]) * float(power[i]),
@@ -207,9 +210,9 @@ def proxy_dataset(spec=None) -> SweepDataset:
         energy = perf * power
         availability = 0.9 + 0.01 * (4 * b0 + 2 * b1 + b2)
         cost = 1000.0 + 100.0 * b0 + 200.0 * b1 + 400.0 * b2
-        reqs.append(RequirementValues(perf, power, energy, availability, cost))
+        reqs.append((perf, power, energy, availability, cost))
         mons.append(
-            MonitorVector(
+            monitor_vector(
                 execution_time=perf,
                 ipc=1.0,
                 dram_power=power / 4.0,
