@@ -37,8 +37,8 @@ class AvailabilityModel:
     def __post_init__(self):
         require_int("required_servers", self.required_servers)
         require_int("max_servers", self.max_servers)
-        if not self.server_mttr > 0:
-            raise ValueError("server_mttr must be positive")
+        if not 0 < self.server_mttr < math.inf:
+            raise ValueError("server_mttr must be positive and finite")
         if self.required_servers < 1:
             raise ValueError("required_servers must be at least 1")
         if not 0.0 < self.availability_target < 1.0:
@@ -58,8 +58,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("server_price", "infrastructure_price", "energy_price", "maintenance_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -52,16 +52,23 @@ def pearson(x, y) -> float:
     through round-off on affine data, never by non-degenerate series)
     is snapped to the bound.
     """
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    if ax.ndim != 1 or ax.shape != ay.shape:
-        raise ValueError("pearson needs two 1-d series of equal length")
-    if ax.size < 2:
-        raise ValueError("pearson needs at least 2 points")
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    sx = math.sqrt(float(np.dot(dx, dx)))
-    sy = math.sqrt(float(np.dot(dy, dy)))
+    return _corr(_centered(x), _centered(y))
+
+
+def _centered(series) -> tuple[np.ndarray, float]:
+    """``series`` minus its mean, and the norm of that: pearson's work per series."""
+    arr = np.asarray(series, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("pearson needs 1-d series of at least 2 points")
+    dx = arr - arr.mean()
+    return dx, math.sqrt(float(np.dot(dx, dx)))
+
+
+def _corr(cx: tuple[np.ndarray, float], cy: tuple[np.ndarray, float]) -> float:
+    """pearson of two ``_centered`` series."""
+    (dx, sx), (dy, sy) = cx, cy
+    if dx.shape != dy.shape:
+        raise ValueError("pearson needs two series of equal length")
     if sx == 0.0 or sy == 0.0:
         raise DegenerateSeriesError("correlation undefined for a zero-variance series")
     r = float(np.dot(dx, dy)) / (sx * sy)
@@ -83,10 +90,12 @@ class CorrelationMatrix:
     def build(cls, rows: Sequence[Column], cols: Sequence[Column]) -> "CorrelationMatrix":
         values = np.full((len(rows), len(cols)), np.nan)
         defined = np.zeros((len(rows), len(cols)), dtype=bool)
+        centered_cols = [_centered(y) for _, y in cols]
         for i, (_, x) in enumerate(rows):
-            for j, (_, y) in enumerate(cols):
+            cx = _centered(x)
+            for j, cy in enumerate(centered_cols):
                 try:
-                    values[i, j] = pearson(x, y)
+                    values[i, j] = _corr(cx, cy)
                     defined[i, j] = True
                 except DegenerateSeriesError:
                     pass
@@ -173,9 +182,10 @@ def prune_correlated(
     # keeping the live order, so every later scan sees the same matrix
     # (and the same |r| sums) a fresh computation would give.
     corr = np.eye(len(live))
+    centered = [_centered(series) for _, series in live]
     for i in range(len(live)):
         for j in range(i + 1, len(live)):
-            corr[i, j] = corr[j, i] = pearson(live[i][1], live[j][1])
+            corr[i, j] = corr[j, i] = _corr(centered[i], centered[j])
     while len(live) >= 2:
         n = len(live)
         best_pair = None
@@ -215,11 +225,13 @@ def map_requirements_to_monitors(
     if not monitors:
         raise ValueError("no monitors to map against")
     mapping: dict[str, MonitorMatch] = {}
+    centered = [(mon_name, _centered(series)) for mon_name, series in monitors]
     for req_name, req_series in requirements:
+        req = _centered(req_series)
         best: MonitorMatch | None = None
-        for mon_name, mon_series in monitors:
+        for mon_name, mon in centered:
             try:
-                r = pearson(req_series, mon_series)
+                r = _corr(req, mon)
             except DegenerateSeriesError:
                 continue
             if best is None or abs(r) > abs(best.coefficient):

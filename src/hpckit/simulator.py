@@ -24,7 +24,9 @@ import enum
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class WorkloadParams:
         if self.mc_iterations < 1:
             raise ValueError("mc_iterations must be at least 1")
         for name in ("deadline_s", "base_seconds", "result_processing_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.servers < 1 or self.cores_per_server < 1:
             raise ValueError("servers and cores_per_server must be positive")
 
@@ -102,8 +104,8 @@ class NoiseParams:
     def __post_init__(self):
         for f in ("time", "cpu_power", "dram_power", "peak_margin",
                   "temperature_c", "ipc", "mpki", "fit"):
-            if not getattr(self, f) >= 0:
-                raise ValueError(f"noise level {f} must be non-negative")
+            if not 0 <= getattr(self, f) < math.inf:
+                raise ValueError(f"noise level {f} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,11 @@ class KnobEffects:
     def __post_init__(self):
         for name in ("reference_frequency_ghz", "cpu_power_base_w", "ipc_per_core",
                      "mpki_base", "base_fit", "temperature_per_watt"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("dram_background_w", "dram_activity_w", "peak_margin_w"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         for name in ("cpu_power_exponent", "temperature_ambient_c"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -147,12 +149,15 @@ class KnobEffects:
                     raise ValueError(
                         f"effect for {knob_name}/{label} must be a LevelEffect"
                     )
-                if bad := next((f for f in _LEVEL_FACTORS if not getattr(eff, f) > 0), None):
-                    raise ValueError(f"effect for {knob_name}/{label}: {bad} must be positive")
-                if not (eff.dram_background_w >= 0 and eff.peak_surcharge_w >= 0):
+                bad = next((f for f in _LEVEL_FACTORS if not 0 < getattr(eff, f) < math.inf), None)
+                if bad:
+                    raise ValueError(
+                        f"effect for {knob_name}/{label}: {bad} must be positive and finite")
+                if not (0 <= eff.dram_background_w < math.inf
+                        and 0 <= eff.peak_surcharge_w < math.inf):
                     raise ValueError(
                         f"effect for {knob_name}/{label}: additive watt terms "
-                        "must be non-negative"
+                        "must be non-negative and finite"
                     )
 
 
@@ -189,12 +194,13 @@ def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffec
     freq_mult = cores_mult = throughput = cpu_power = dram_act = 1.0
     temp = mpki = fit = 1.0
     dram_bg = surcharge = 0.0
+    tables, frequency_knob = effects.levels, effects.frequency_knob
     for knob, idx in zip(space.knobs, config.levels):
         level = knob.levels[idx]
-        if knob.name == effects.frequency_knob and level.value is not None:
+        if knob.name == frequency_knob and level.value is not None:
             frequency = float(level.value)
-        eff = effects.levels.get(knob.name, {}).get(level.label)
-        if eff is None:
+        table = tables.get(knob.name)
+        if table is None or (eff := table.get(level.label)) is None:
             continue
         freq_mult *= eff.frequency
         cores_mult *= eff.cores
@@ -290,8 +296,8 @@ class FaultModel:
         require_int("repair_intervals", self.repair_intervals)
         if self.probability is not None and not 0.0 <= self.probability < 1.0:
             raise ValueError("probability must lie in [0, 1)")
-        if not self.probability_scale >= 0:
-            raise ValueError("probability_scale must be non-negative")
+        if not 0 <= self.probability_scale < math.inf:
+            raise ValueError("probability_scale must be non-negative and finite")
         if self.repair_intervals < 0:
             raise ValueError("repair_intervals must be non-negative")
 
@@ -301,8 +307,7 @@ class FaultModel:
         return min(0.5, fit * 1e-9 * interval_hours * self.probability_scale)
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     duration: float
     outcome: FaultCase
     servers_up: int
@@ -312,22 +317,16 @@ class IntervalRecord:
 class SimulationResult:
     monitors: tuple[float, ...]  # in MONITOR_NAMES order
     intervals: tuple[IntervalRecord, ...]
-
-    @property
-    def successes(self) -> int:
-        """Intervals that count for availability: no deadline miss after a fault."""
-        return sum(r.outcome not in (FaultCase.CASE2, FaultCase.CASE3) for r in self.intervals)
+    successes: int  # intervals that count for availability: no deadline miss after a fault
 
     @property
     def success_fraction(self) -> float:
         return self.successes / len(self.intervals)
 
 
-def trimmed_mean(values) -> float:
-    """Mean after dropping the single smallest and largest value."""
-    ordered = sorted(map(float, values))
-    if not ordered:
-        raise ValueError("trimmed_mean needs at least one value")
+def _trimmed(values: list[float]) -> float:
+    """trimmed_mean of a non-empty list of floats."""
+    ordered = sorted(values)
     if len(ordered) >= 3:
         ordered = ordered[1:-1]
     if ordered[0] == ordered[-1]:
@@ -337,68 +336,44 @@ def trimmed_mean(values) -> float:
     return sum(ordered) / len(ordered)
 
 
+def trimmed_mean(values) -> float:
+    """Mean after dropping the single smallest and largest value."""
+    if not (values := list(map(float, values))):
+        raise ValueError("trimmed_mean needs at least one value")
+    return _trimmed(values)
+
+
 DEFAULT_INTERVALS = 7
 
 
-def _relative_noise(sigma: float, z: list[float]) -> list[float]:
-    """Noise factors ``1 + sigma*z``, floored at 0.05 to keep draws positive."""
-    return [0.05 if (x := 1.0 + sigma * v) < 0.05 else x for v in z]
+def _seed(seed) -> int:
+    """``seed`` as a non-negative int; numpy integers pass, ``bool`` and floats do not."""
+    is_int = hasattr(seed, "__index__") and not isinstance(seed, bool)
+    if (value := operator.index(seed) if is_int else -1) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
-def simulate_config_detailed(
-    space: KnobSpace,
-    config: Configuration,
-    params: WorkloadParams,
-    effects: KnobEffects,
-    fault_model: FaultModel,
-    n_intervals: int = DEFAULT_INTERVALS,
-    seed: int = 0,
-) -> SimulationResult:
-    """Measure one configuration, returning monitors and interval log.
+def _noisy(scale: float, sigma: float, z: list[float]) -> list[float]:
+    """``scale`` times the noise factors ``1 + sigma*z``, each floored at 0.05 to stay positive."""
+    return [scale * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z]
 
-    The configuration draws from its own stream,
-    ``default_rng([seed, rank])`` with ``rank`` its position in
-    ``enumerate_configs(space)``: first 7n+1 standard normals, n each
-    for cpu power, dram power, peak margin, temperature, ipc and mpki,
-    one for the FIT rate and n for the interval time; then the fault
-    uniforms: per interval, one for each server not under repair and
-    one more for the failure point if a server failed.
-    """
-    require_int("n_intervals", n_intervals)
-    if n_intervals < 5:
-        raise ValueError("n_intervals must be at least 5 for a trimmed mean")
-    rank = enumeration_rank(space, config)  # also checks config against space
-    eff = _combine_effects(space, config, effects)
-    rng = np.random.default_rng([int(seed), rank])
-    noise = effects.noise
-    n = n_intervals
+
+def _interval_log(
+    params: WorkloadParams, fault_model: FaultModel, times: list[float],
+    time_noise: list[float], uniforms, p_fail: float,
+) -> tuple[list[IntervalRecord], list[float]]:
+    """Interval records and fault-free interval times, reading ``uniforms`` as drawn."""
     servers = params.servers
-
-    # Generator.normal(loc, s) is loc + s*z on the same standard normal z,
-    # so one draw of all the normals keeps every value bit for bit.
-    z = rng.standard_normal(7 * n + 1).tolist()
-    cpu_z, dram_z, peak_z, temp_z, ipc_z, mpki_z = (z[k * n:(k + 1) * n] for k in range(6))
-    fit_noise = _relative_noise(noise.fit, z[6 * n:6 * n + 1])[0]
-    time_noise = _relative_noise(noise.time, z[6 * n + 1:])
-    # The most an interval draws is one uniform per server plus the failure point.
-    uniforms = iter(rng.random(n * (servers + 1)).tolist())
-
-    fit = effects.base_fit * eff.fit * fit_noise
-    times = [0.0] + [_interval_seconds(params, eff, up) for up in range(1, servers + 1)]
-    nominal = times[servers]
-    p_fail = fault_model.per_interval_probability(fit, nominal / 3600.0)
-
     down = [0] * servers
     records: list[IntervalRecord] = []
     fault_free_times: list[float] = []
-    for i in range(n):
+    for i in range(len(time_noise)):
         servers_up = down.count(0)
         down = [max(0, d - 1) for d in down]
         if servers_up == 0:
             # Whole pool offline: the interval is lost outright.
-            records.append(
-                IntervalRecord(2.0 * params.deadline_s, FaultCase.CASE3, 0)
-            )
+            records.append(IntervalRecord(2.0 * params.deadline_s, FaultCase.CASE3, 0))
             continue
         t0 = times[servers_up] * time_noise[i]
         failures = 0
@@ -423,52 +398,90 @@ def simulate_config_detailed(
             finish - t0, finish, params.deadline_s, remaining, servers
         )
         records.append(IntervalRecord(finish, outcome, servers_up))
+    return records, fault_free_times
 
-    if fault_free_times:
-        execution_time = trimmed_mean(fault_free_times)
+
+def simulate_config_detailed(
+    space: KnobSpace,
+    config: Configuration,
+    params: WorkloadParams,
+    effects: KnobEffects,
+    fault_model: FaultModel,
+    n_intervals: int = DEFAULT_INTERVALS,
+    seed: int = 0,
+) -> SimulationResult:
+    """Measure one configuration, returning monitors and interval log.
+
+    The configuration draws from its own stream,
+    ``Generator(PCG64(SeedSequence([seed, rank])))`` (the stream
+    ``default_rng([seed, rank])`` gives) with ``rank`` its position in
+    ``enumerate_configs(space)``: first 7n+1 standard normals, n each
+    for cpu power, dram power, peak margin, temperature, ipc and mpki,
+    one for the FIT rate and n for the interval time; then the fault
+    uniforms: per interval, one for each server not under repair and
+    one more for the failure point if a server failed.
+    """
+    seed = _seed(seed)
+    require_int("n_intervals", n_intervals)
+    if n_intervals < 5:
+        raise ValueError("n_intervals must be at least 5 for a trimmed mean")
+    rank = enumeration_rank(space, config)  # also checks config against space
+    eff = _combine_effects(space, config, effects)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rank])))
+    noise, n, servers = effects.noise, n_intervals, params.servers
+
+    # Generator.normal(loc, s) is loc + s*z on the same standard normal z,
+    # so one draw of all the normals keeps every value bit for bit.
+    z = rng.standard_normal(7 * n + 1).tolist()
+    # The most an interval draws is one uniform per server plus the failure point.
+    u = rng.random(n * (servers + 1)).tolist()
+    time_noise = _noisy(1.0, noise.time, z[6 * n + 1:])
+
+    fit = effects.base_fit * eff.fit * _noisy(1.0, noise.fit, z[6 * n:6 * n + 1])[0]
+    times = [0.0] + [_interval_seconds(params, eff, up) for up in range(1, servers + 1)]
+    nominal = times[servers]
+    p_fail = fault_model.per_interval_probability(fit, nominal / 3600.0)
+    if min(u[:n * servers]) >= p_fail:
+        # No server fails, so the interval loop would read exactly these
+        # uniforms and log every interval fault-free on the full pool.
+        fault_free = [nominal * t for t in time_noise]
+        records = [IntervalRecord(t, FaultCase.NO_FAULT, servers) for t in fault_free]
+        successes = n
     else:
-        execution_time = nominal
+        records, fault_free = _interval_log(params, fault_model, times, time_noise, iter(u), p_fail)
+        successes = sum(r.outcome not in (FaultCase.CASE2, FaultCase.CASE3) for r in records)
 
     f_ratio = eff.frequency_ghz / effects.reference_frequency_ghz
     cpu_w = effects.cpu_power_base_w * f_ratio**effects.cpu_power_exponent * eff.cpu_power
-    cpu_draws = [cpu_w * r for r in _relative_noise(noise.cpu_power, cpu_z)]
-    dram_w = (
-        effects.dram_background_w
-        + eff.dram_background_w
-        + effects.dram_activity_w * f_ratio * eff.dram_activity
-    )
-    dram_draws = [dram_w * r for r in _relative_noise(noise.dram_power, dram_z)]
-    peak_draws = [
-        c + d + effects.peak_margin_w * r + eff.peak_surcharge_w
-        for c, d, r in zip(cpu_draws, dram_draws, _relative_noise(noise.peak_margin, peak_z))
-    ]
-    temp_draws = [
-        effects.temperature_ambient_c
-        + effects.temperature_per_watt * c * eff.temperature
-        + (0.0 + noise.temperature_c * v)  # as Generator.normal(0.0, s) gave it
-        for c, v in zip(cpu_draws, temp_z)
-    ]
-    cores = params.cores_per_server * eff.usable_cores
-    ipc = effects.ipc_per_core * cores * eff.throughput
-    ipc_draws = [ipc * r for r in _relative_noise(noise.ipc, ipc_z)]
+    cpu = _noisy(cpu_w, noise.cpu_power, z[:n])
+    dram_w = (effects.dram_background_w + eff.dram_background_w
+              + effects.dram_activity_w * f_ratio * eff.dram_activity)
+    dram = _noisy(dram_w, noise.dram_power, z[n:2 * n])
+    margins = _noisy(effects.peak_margin_w, noise.peak_margin, z[2 * n:3 * n])
+    surcharge = eff.peak_surcharge_w
+    peak = [c + d + m + surcharge for c, d, m in zip(cpu, dram, margins)]
+    ambient, per_watt = effects.temperature_ambient_c, effects.temperature_per_watt
+    heat, sigma = eff.temperature, noise.temperature_c
+    temp = [ambient + per_watt * c * heat + (0.0 + sigma * v)  # as Generator.normal(0.0, sigma)
+            for c, v in zip(cpu, z[3 * n:4 * n])]
+    ipc = effects.ipc_per_core * (params.cores_per_server * eff.usable_cores) * eff.throughput
     mpki = effects.mpki_base * eff.mpki
-    mpki_draws = [mpki * r for r in _relative_noise(noise.mpki, mpki_z)]
 
     server_mtbf = 1e9 / fit
     monitors = (
-        execution_time,
-        trimmed_mean(ipc_draws),
-        trimmed_mean(dram_draws),
-        trimmed_mean(cpu_draws),
-        trimmed_mean(peak_draws),
-        trimmed_mean(temp_draws),
-        trimmed_mean(mpki_draws),
+        _trimmed(fault_free) if fault_free else nominal,  # execution time
+        _trimmed(_noisy(ipc, noise.ipc, z[4 * n:5 * n])),
+        _trimmed(dram),
+        _trimmed(cpu),
+        _trimmed(peak),
+        _trimmed(temp),
+        _trimmed(_noisy(mpki, noise.mpki, z[5 * n:6 * n])),
         server_mtbf,
         server_mtbf,  # system MTBF, provisional; provisioning divides it later
         0.0,          # capex and opex, filled by requirement derivation
         0.0,
     )
-    return SimulationResult(monitors, tuple(records))
+    return SimulationResult(monitors, tuple(records), successes)
 
 
 def parameters_digest(
@@ -502,6 +515,7 @@ def generate_sweep(
     underived; metadata records the seed, the parameter digest and the
     aggregate interval success fraction.
     """
+    seed = _seed(seed)
     levels, monitors, good = [], [], 0
     for config in enumerate_configs(space):
         result = simulate_config_detailed(

@@ -212,11 +212,14 @@ def enumerate_configs(space: KnobSpace) -> list[Configuration]:
 
 
 def enumeration_rank(space: KnobSpace, config: Configuration) -> int:
-    """Position of ``config`` within ``enumerate_configs(space)``."""
-    space.validate_configuration(config)
+    """Position of ``config`` within ``enumerate_configs(space)``; rejects one outside ``space``."""
+    if len(config.levels) != len(space.knobs):
+        space.validate_configuration(config)  # raises, naming the mismatch
     rank = 0
     for knob, idx in zip(space.knobs, config.levels):
-        rank = rank * len(knob.levels) + idx
+        if not 0 <= idx < (size := len(knob.levels)):
+            space.validate_configuration(config)  # raises, naming the knob
+        rank = rank * size + idx
     return rank
 
 

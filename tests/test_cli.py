@@ -464,14 +464,34 @@ def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, ke
      "probability_scale must be non-negative"),
     ({"effects": {"levels": {"SMT": {"Enable": {"peak_surcharge_w": math.nan}}}}},
      "additive watt terms must be non-negative"),
+    ({"workload": {"base_seconds": math.inf}}, "base_seconds must be positive and finite"),
+    ({"metrics": {"server_price": math.inf}}, "server_price must be non-negative and finite"),
+    ({"metrics": {"mttr_h": math.inf}}, "server_mttr must be positive and finite"),
+    ({"effects": {"cpu_power_base_w": math.inf}}, "cpu_power_base_w must be positive and finite"),
+    ({"effects": {"dram_activity_w": math.inf}}, "dram_activity_w must be non-negative and finite"),
+    ({"effects": {"noise": {"time": math.inf}}}, "noise level time must be non-negative and finite"),
+    ({"effects": {"fault": {"probability_scale": math.inf}}},
+     "probability_scale must be non-negative and finite"),
+    ({"effects": {"levels": {"SMT": {"Enable": {"throughput": math.inf}}}}},
+     "throughput must be positive and finite"),
+    ({"effects": {"levels": {"SMT": {"Enable": {"dram_background_w": math.inf}}}}},
+     "additive watt terms must be non-negative and finite"),
 ])
 def test_nan_or_negative_config_scalar_exits_one(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))  # NaN, which json.load reads back
+    cfg.write_text(json.dumps(config))  # NaN or Infinity, which json.load reads back
     out = tmp_path / "s.csv"
     assert run("--config", cfg, "simulate", "--out", out) == 1
     err = capsys.readouterr().err
     assert f"config section '{next(iter(config))}'" in err and message in err, err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run("simulate", "--seed", "-1", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "seed must be a non-negative integer, got -1" in err, err
     assert not out.exists()
 
 

@@ -20,9 +20,12 @@ from hpckit.reducer import pearson
 from hpckit.simulator import (
     FaultCase,
     FaultModel,
+    IntervalRecord,
     NoiseParams,
+    SimulationResult,
     WorkloadParams,
     classify_fault_outcome,
+    combine_effects,
     generate_sweep,
     interval_time,
     parameters_digest,
@@ -34,6 +37,7 @@ from hpckit.sweep import (
     KnobDef,
     KnobLevel,
     KnobSpace,
+    enumeration_rank,
     export_csv_string,
 )
 
@@ -255,6 +259,24 @@ def test_integer_fields_reject_non_integers(build, name):
         build()
 
 
+@pytest.mark.parametrize("seed", [12.9, True, -1])
+def test_seed_must_be_a_non_negative_integer(seed):
+    space = space_of(2)
+    args = (default_workload(), default_effects(), default_fault_model())
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        generate_sweep(space, *args, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulate_config_detailed(space, Configuration((0,)), *args, seed=seed)
+
+
+def test_numpy_integer_seed_runs_and_is_recorded_as_that_integer():
+    space = space_of(3, 2)
+    args = (default_workload(), default_effects(), default_fault_model())
+    ds = generate_sweep(space, *args, seed=np.int64(12))
+    assert ds.metadata["seed"] == "12"
+    assert export_csv_string(ds) == export_csv_string(generate_sweep(space, *args, seed=12))
+
+
 def test_noise_params_reject_negative_levels():
     with pytest.raises(ValueError):
         NoiseParams(time=-0.1)
@@ -459,3 +481,133 @@ def test_default_calibration_plants_the_documented_structure(derived_dataset):
     capex_col = derived_dataset.monitor_column("capex")
     avail_col = derived_dataset.requirement_column("availability")
     assert abs(pearson(capex_col, avail_col)) >= 0.9
+
+
+# ------------------------------------------ reference for the interval paths
+
+
+def _reference_noise(sigma, z):
+    return [0.05 if (x := 1.0 + sigma * v) < 0.05 else x for v in z]
+
+
+def _reference_trimmed_mean(values):
+    ordered = sorted(values)
+    if len(ordered) >= 3:
+        ordered = ordered[1:-1]
+    if ordered[0] == ordered[-1]:
+        return ordered[0]
+    return sum(ordered) / len(ordered)
+
+
+def _reference_simulation(space, config, params, effects, fault_model, n, seed):
+    """simulate_config_detailed restated with one interval loop for every
+    row, ``default_rng`` for the stream and the public effect functions."""
+    rank = enumeration_rank(space, config)
+    eff = combine_effects(space, config, effects)
+    rng = np.random.default_rng([seed, rank])
+    noise = effects.noise
+    servers = params.servers
+    z = rng.standard_normal(7 * n + 1).tolist()
+    cpu_z, dram_z, peak_z, temp_z, ipc_z, mpki_z = (z[k * n:(k + 1) * n] for k in range(6))
+    fit_noise = _reference_noise(noise.fit, z[6 * n:6 * n + 1])[0]
+    time_noise = _reference_noise(noise.time, z[6 * n + 1:])
+    uniforms = iter(rng.random(n * (servers + 1)).tolist())
+
+    fit = effects.base_fit * eff.fit * fit_noise
+    times = [0.0] + [interval_time(space, config, params, effects, up)
+                     for up in range(1, servers + 1)]
+    nominal = times[servers]
+    p_fail = fault_model.per_interval_probability(fit, nominal / 3600.0)
+
+    down = [0] * servers
+    records = []
+    fault_free_times = []
+    for i in range(n):
+        servers_up = down.count(0)
+        down = [max(0, d - 1) for d in down]
+        if servers_up == 0:
+            records.append(IntervalRecord(2.0 * params.deadline_s, FaultCase.CASE3, 0))
+            continue
+        t0 = times[servers_up] * time_noise[i]
+        failures = 0
+        for s in range(servers):
+            if down[s] == 0 and next(uniforms) < p_fail:
+                failures += 1
+                down[s] = fault_model.repair_intervals
+        if failures == 0:
+            records.append(IntervalRecord(t0, FaultCase.NO_FAULT, servers_up))
+            fault_free_times.append(t0)
+            continue
+        survivors = servers_up - failures
+        done = next(uniforms)
+        if survivors == 0:
+            finish = max(2.0 * params.deadline_s, 2.0 * t0)
+        else:
+            finish = done * t0 + (1.0 - done) * t0 * servers_up / survivors
+        outcome = classify_fault_outcome(
+            finish - t0, finish, params.deadline_s, down.count(0), servers
+        )
+        records.append(IntervalRecord(finish, outcome, servers_up))
+    execution_time = _reference_trimmed_mean(fault_free_times) if fault_free_times else nominal
+
+    f_ratio = eff.frequency_ghz / effects.reference_frequency_ghz
+    cpu_w = effects.cpu_power_base_w * f_ratio**effects.cpu_power_exponent * eff.cpu_power
+    cpu_draws = [cpu_w * r for r in _reference_noise(noise.cpu_power, cpu_z)]
+    dram_w = (effects.dram_background_w + eff.dram_background_w
+              + effects.dram_activity_w * f_ratio * eff.dram_activity)
+    dram_draws = [dram_w * r for r in _reference_noise(noise.dram_power, dram_z)]
+    peak_draws = [
+        c + d + effects.peak_margin_w * r + eff.peak_surcharge_w
+        for c, d, r in zip(cpu_draws, dram_draws, _reference_noise(noise.peak_margin, peak_z))
+    ]
+    temp_draws = [
+        effects.temperature_ambient_c
+        + effects.temperature_per_watt * c * eff.temperature
+        + (0.0 + noise.temperature_c * v)
+        for c, v in zip(cpu_draws, temp_z)
+    ]
+    cores = params.cores_per_server * eff.usable_cores
+    ipc = effects.ipc_per_core * cores * eff.throughput
+    ipc_draws = [ipc * r for r in _reference_noise(noise.ipc, ipc_z)]
+    mpki = effects.mpki_base * eff.mpki
+    mpki_draws = [mpki * r for r in _reference_noise(noise.mpki, mpki_z)]
+    server_mtbf = 1e9 / fit
+    monitors = (
+        execution_time,
+        *map(_reference_trimmed_mean,
+             (ipc_draws, dram_draws, cpu_draws, peak_draws, temp_draws, mpki_draws)),
+        server_mtbf, server_mtbf, 0.0, 0.0,
+    )
+    successes = sum(r.outcome not in (FaultCase.CASE2, FaultCase.CASE3) for r in records)
+    return SimulationResult(monitors, tuple(records), successes)
+
+
+_ZERO_NOISE = replace(default_effects(), noise=NoiseParams(*[0.0] * 8))
+# (workload, fault model, effects, n_intervals): forced fault probabilities
+# against every repair time and pool size, FIT-derived probabilities scaled
+# into the fault-prone range, no noise at all, and other interval counts.
+REFERENCE_CASES = (
+    [(WorkloadParams(servers=servers), FaultModel(probability=p, repair_intervals=repair),
+      default_effects(), 7)
+     for p in (0.0, 0.3, 0.6) for repair in range(4) for servers in (1, 2, 3)]
+    + [(WorkloadParams(), FaultModel(probability_scale=k), default_effects(), 7)
+       for k in (5000.0, 50000.0)]
+    + [(WorkloadParams(), FaultModel(), _ZERO_NOISE, 7),
+       (WorkloadParams(), FaultModel(probability=0.3), _ZERO_NOISE, 7)]
+    + [(WorkloadParams(), FaultModel(probability=0.3), default_effects(), n) for n in (5, 9)]
+)
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_simulation_matches_the_single_loop_reference(case):
+    params, fault, effects, n = REFERENCE_CASES[case]
+    full = default_knob_space()
+    # the default space, and one without the frequency knob
+    for space in (full, KnobSpace(full.knobs[1:])):
+        rng = np.random.default_rng(case)
+        for _ in range(6):
+            config = Configuration(tuple(int(rng.integers(len(k.levels))) for k in space.knobs))
+            seed = int(rng.integers(2**31))
+            got = simulate_config_detailed(space, config, params, effects, fault, n, seed)
+            want = _reference_simulation(space, config, params, effects, fault, n, seed)
+            assert repr(got) == repr(want), (config, seed)

@@ -85,6 +85,17 @@ def test_enumeration_rank_matches_list_position(sizes):
         assert enumeration_rank(space, config) == i
 
 
+@pytest.mark.parametrize("levels, message", [
+    ((0, 1), "configuration has 2 levels, space has 3 knobs"),
+    ((0, 1, 2, 0), "configuration has 4 levels, space has 3 knobs"),
+    ((0, 3, 0), "level index 3 out of range for knob 'K1'"),
+    ((0, 0, -1), "level index -1 out of range for knob 'K2'"),
+])
+def test_enumeration_rank_rejects_a_configuration_outside_the_space(levels, message):
+    with pytest.raises(ValueError, match=message):
+        enumeration_rank(space_of(2, 3, 2), Configuration(levels))
+
+
 # ------------------------------------------------------------------- encoding
 
 
