@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from . import __version__
 from .defaults import DEFAULT_SEED, default_effects, default_knob_space
@@ -36,7 +37,6 @@ from .sweep import (
     SweepDataset,
     export_csv,
     ingest_csv,
-    load_knob_space,
     split_metadata,
 )
 
@@ -45,6 +45,9 @@ EXIT_CONFIG = 1
 EXIT_NO_FEASIBLE = 2
 EXIT_INGESTION = 3
 
+# the file flags a manifest records, each when the subcommand has it and it was given
+_INPUT_FLAGS = ("dataset", "space", "params", "reduction", "sweep", "search", "validation")
+_OUTPUT_FLAGS = ("out", "coefficients", "leaderboard", "table")
 _CONFIG_SECTIONS = ("space", "workload", "effects", "metrics", "analysis", "baseline")
 _ANALYSIS_KEYS = ("req_threshold", "knob_threshold", "weights")
 # metrics config key -> (model, field); drives parsing, key checks and manifests
@@ -102,15 +105,7 @@ def load_config(path: str | None) -> dict:
         source = "HPCKIT_CONFIG"
         if not path:
             return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found ({source}): {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: top level must be a JSON object")
+    data = _read_json(path, source)
     _check_keys(data, _CONFIG_SECTIONS, f"config file {path}")
     _validate_config(data)
     return data
@@ -207,22 +202,16 @@ def _metrics_json(*models) -> dict:
     return {key: getattr(by_type[m], f) for key, (m, f) in _METRICS_FIELDS.items()}
 
 
-def make_manifest(
-    args,
-    subcommand: str,
-    config: dict,
-    inputs: dict,
-    outputs: dict,
-    dataset_seed: int | None = None,
-    dataset_digest: str | None = None,
-) -> dict:
+def make_manifest(args, config: dict, dataset_seed: int | None = None,
+                  dataset_digest: str | None = None) -> dict:
+    """The run manifest: the subcommand and every file flag given, as parsed from ``args``."""
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "tool_version": __version__,
         "dataset_seed": dataset_seed,
         "dataset_digest": dataset_digest,
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {k: getattr(args, k) for k in _INPUT_FLAGS if getattr(args, k, None)},
+        "outputs": {k: getattr(args, k) for k in _OUTPUT_FLAGS if getattr(args, k, None)},
         "config": config,
     }
     if not args.deterministic:
@@ -232,11 +221,6 @@ def make_manifest(
 
 def _manifest_comment(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -276,52 +260,64 @@ def _read_json(path: str, flag: str) -> dict:
 
 
 def _resolve_space(args, cfg: dict) -> KnobSpace:
-    space_path = getattr(args, "space", None)
-    if space_path:
-        _require_file(space_path, "--space")
+    if args.space:
         try:
-            return load_knob_space(space_path)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"--space {space_path}: {exc}") from exc
+            return KnobSpace.from_json_dict(_read_json(args.space, "--space"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"--space {args.space}: {exc}") from exc
     return build_space(cfg)
 
 
-def _load_dataset(args, cfg: dict) -> tuple[SweepDataset, KnobSpace, str, int | None]:
+class _Dataset(NamedTuple):
+    """A loaded ``--dataset``: its rows, knob space, file digest and recorded seed."""
+
+    ds: SweepDataset
+    space: KnobSpace
+    digest: str
+    seed: int | None
+
+    def manifest(self, args, **config) -> dict:
+        """The run manifest of a stage that read this dataset."""
+        return make_manifest(args, {"space": self.space.to_json_dict(), **config},
+                             self.seed, self.digest)
+
+
+def _load_dataset(args, cfg: dict, derived: bool = True) -> _Dataset:
+    """Read ``--dataset`` against the resolved space; ``derived`` requires requirement columns."""
     path = _require_file(args.dataset, "--dataset")
     space = _resolve_space(args, cfg)
     try:
         ds = ingest_csv(path, space)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    digest = _file_digest(path)
-    seed = None
-    raw_seed = ds.metadata.get("seed", "")
-    if raw_seed.lstrip("-").isdigit():
-        seed = int(raw_seed)
-    return ds, space, digest, seed
-
-
-def _require_derived(ds: SweepDataset, path: str) -> None:
-    if not ds.is_derived:
+    if derived and not ds.is_derived:
         raise ConfigError(
             f"{path}: dataset has no derived requirement columns; run 'hpckit derive' first"
         )
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    raw_seed = ds.metadata.get("seed", "")
+    seed = int(raw_seed) if raw_seed.removeprefix("-").isdecimal() else None
+    return _Dataset(ds, space, digest, seed)
 
 
-def _require_mc_iterations(ds: SweepDataset, spec: RequirementSpec, path: str) -> None:
-    """Enforce the accuracy floor on the dataset's recorded Monte Carlo iterations."""
+def _dataset_metrics(args, cfg: dict, ds: SweepDataset
+                     ) -> tuple[AvailabilityModel, CostModel, RequirementSpec]:
+    """The metrics models, once ``ds``'s recorded Monte Carlo iterations meet their floor."""
+    models = build_metrics(cfg)
     raw = ds.metadata.get("mc_iterations")
-    if raw is None:
-        return
-    try:
-        iterations = float(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: mc_iterations metadata is not a number: {raw!r}") from None
-    if not iterations >= spec.min_mc_iterations:
-        raise ConfigError(
-            f"{path}: dataset has mc_iterations {raw}, below the accuracy floor "
-            f"metrics.min_mc_iterations {spec.min_mc_iterations}"
-        )
+    if raw is not None:
+        try:
+            iterations = float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{args.dataset}: mc_iterations metadata is not a number: {raw!r}") from None
+        if not iterations >= models[2].min_mc_iterations:
+            raise ConfigError(
+                f"{args.dataset}: dataset has mc_iterations {raw}, below the accuracy floor "
+                f"metrics.min_mc_iterations {models[2].min_mc_iterations}"
+            )
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +344,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         "workload": asdict(params),
         "effects": {**asdict(effects), "fault": asdict(fault)},
     }
-    manifest = make_manifest(
-        args, "simulate", resolved,
-        inputs={k: v for k, v in (("space", args.space), ("params", args.params)) if v},
-        outputs={"out": args.out},
-        dataset_seed=args.seed,
-        dataset_digest=ds.metadata.get("parameters"),
-    )
+    manifest = make_manifest(args, resolved, args.seed, ds.metadata.get("parameters"))
     ds.metadata["manifest"] = _manifest_comment(manifest)
     export_csv(ds, args.out)
     print(f"wrote {args.out}: {len(ds)} rows, seed {args.seed}, "
@@ -363,71 +353,39 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_ingest(args, cfg: dict) -> int:
-    ds, space, digest, seed = _load_dataset(args, cfg)
-    state = "derived" if ds.is_derived else "underived"
-    print(f"{args.dataset}: {len(ds)} rows, {len(space.names)} knobs, {state}, "
-          f"digest {digest}")
+    data = _load_dataset(args, cfg, derived=False)
+    state = "derived" if data.ds.is_derived else "underived"
+    print(f"{args.dataset}: {len(data.ds)} rows, {len(data.space.names)} knobs, {state}, "
+          f"digest {data.digest}")
     if args.out:
-        resolved = {"space": space.to_json_dict()}
-        manifest = make_manifest(
-            args, "ingest", resolved,
-            inputs={"dataset": args.dataset},
-            outputs={"out": args.out},
-            dataset_seed=seed,
-            dataset_digest=digest,
-        )
-        ds.metadata["manifest"] = _manifest_comment(manifest)
-        export_csv(ds, args.out)
+        data.ds.metadata["manifest"] = _manifest_comment(data.manifest(args))
+        export_csv(data.ds, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_derive(args, cfg: dict) -> int:
-    ds, space, digest, seed = _load_dataset(args, cfg)
-    am, cm, spec = build_metrics(cfg)
-    _require_mc_iterations(ds, spec, args.dataset)
-    derived = derive_dataset(ds, am, cm, spec)
-    resolved = {
-        "space": space.to_json_dict(),
-        "metrics": _metrics_json(am, cm, spec),
-    }
-    manifest = make_manifest(
-        args, "derive", resolved,
-        inputs={"dataset": args.dataset},
-        outputs={"out": args.out},
-        dataset_seed=seed,
-        dataset_digest=digest,
-    )
-    derived.metadata["manifest"] = _manifest_comment(manifest)
+    data = _load_dataset(args, cfg, derived=False)
+    models = _dataset_metrics(args, cfg, data.ds)
+    derived = derive_dataset(data.ds, *models)
+    derived.metadata["manifest"] = _manifest_comment(
+        data.manifest(args, metrics=_metrics_json(*models)))
     export_csv(derived, args.out)
     print(f"wrote {args.out}: {len(derived)} rows with requirement columns")
     return EXIT_OK
 
 
 def cmd_reduce(args, cfg: dict) -> int:
-    ds, space, digest, seed = _load_dataset(args, cfg)
-    _require_derived(ds, args.dataset)
-    req_threshold, knob_threshold, _ = build_analysis(cfg)
-    if args.req_threshold is not None:
-        req_threshold = args.req_threshold
-    if args.knob_threshold is not None:
-        knob_threshold = args.knob_threshold
+    data = _load_dataset(args, cfg)
+    analysis = dict(zip(("req_threshold", "knob_threshold"), build_analysis(cfg)))
+    # each threshold flag, when given, overrides the config key of its name
+    analysis.update({k: getattr(args, k) for k in analysis if getattr(args, k) is not None})
     try:
-        report = reduce(ds, req_threshold, knob_threshold)
+        report = reduce(data.ds, analysis["req_threshold"], analysis["knob_threshold"])
     except ValueError as exc:
         raise ConfigError(f"--req-threshold/--knob-threshold: {exc}") from exc
 
-    resolved = {
-        "space": space.to_json_dict(),
-        "analysis": {"req_threshold": req_threshold, "knob_threshold": knob_threshold},
-    }
-    manifest = make_manifest(
-        args, "reduce", resolved,
-        inputs={"dataset": args.dataset},
-        outputs={"out": args.out, "coefficients": args.coefficients},
-        dataset_seed=seed,
-        dataset_digest=digest,
-    )
+    manifest = data.manifest(args, analysis=analysis)
     _write_json(args.out, {"manifest": manifest, **report.to_json_dict()})
     with open(args.coefficients, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest: {_manifest_comment(manifest)}\n")
@@ -439,33 +397,16 @@ def cmd_reduce(args, cfg: dict) -> int:
 
 
 def cmd_search(args, cfg: dict) -> int:
-    ds, space, digest, seed = _load_dataset(args, cfg)
-    _require_derived(ds, args.dataset)
-    am, cm, spec = build_metrics(cfg)
-    _require_mc_iterations(ds, spec, args.dataset)
+    ds, space, _, _ = data = _load_dataset(args, cfg)
+    models = _dataset_metrics(args, cfg, ds)
     _, _, weights = build_analysis(cfg)
-    try:
-        scores, order = rank_feasible(ds, spec, weights)
-    except NoFeasibleConfigurationError as exc:
-        raise NoFeasibleConfigurationError(
-            f"{args.dataset}: {exc}", exc.least_violating, exc.violation
-        ) from exc
+    scores, order = rank_feasible(ds, models[2], weights)
     best = RankedConfig.at(ds, order[0], scores)
     entries = [{"rank": rank, "score": float(scores[i]), **row_json_dict(ds, i)}
                for rank, i in enumerate(order[:args.top], start=1)]
 
-    resolved = {
-        "space": space.to_json_dict(),
-        "metrics": _metrics_json(am, cm, spec),
-        "analysis": {"weights": weights},
-    }
-    manifest = make_manifest(
-        args, "search", resolved,
-        inputs={"dataset": args.dataset},
-        outputs={"out": args.out, "leaderboard": args.leaderboard},
-        dataset_seed=seed,
-        dataset_digest=digest,
-    )
+    manifest = data.manifest(args, metrics=_metrics_json(*models),
+                             analysis={"weights": weights})
     payload = {
         "manifest": manifest,
         "total_rows": len(ds),
@@ -483,37 +424,21 @@ def cmd_search(args, cfg: dict) -> int:
 
 
 def cmd_validate(args, cfg: dict) -> int:
-    ds, space, digest, seed = _load_dataset(args, cfg)
-    _require_derived(ds, args.dataset)
+    ds, space, _, _ = data = _load_dataset(args, cfg)
     try:
         report = ReductionReport.from_json_dict(_read_json(args.reduction, "--reduction"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"--reduction {args.reduction}: not a reduction artifact: {exc}") from exc
 
-    am, cm, spec = build_metrics(cfg)
-    _require_mc_iterations(ds, spec, args.dataset)
+    models = _dataset_metrics(args, cfg, ds)
     _, _, weights = build_analysis(cfg)
     baseline = build_baseline(cfg, space)
-    try:
-        result = validate(ds, report, spec, baseline, weights)
-    except NoFeasibleConfigurationError as exc:
-        raise NoFeasibleConfigurationError(
-            f"{args.dataset}: {exc}", exc.least_violating, exc.violation
-        ) from exc
+    result = validate(ds, report, models[2], baseline, weights)
 
-    resolved = {
-        "space": space.to_json_dict(),
-        "metrics": _metrics_json(am, cm, spec),
-        "analysis": {"weights": weights},
-        "baseline": dict(zip(space.names,
-                             (baseline or space.baseline_configuration()).labels(space))),
-    }
-    manifest = make_manifest(
-        args, "validate", resolved,
-        inputs={"dataset": args.dataset, "reduction": args.reduction},
-        outputs={"out": args.out, "table": args.table},
-        dataset_seed=seed,
-        dataset_digest=digest,
+    manifest = data.manifest(
+        args, metrics=_metrics_json(*models), analysis={"weights": weights},
+        baseline=dict(zip(space.names,
+                          (baseline or space.baseline_configuration()).labels(space))),
     )
     payload = {"manifest": manifest, **result.to_json_dict(ds)}
     _write_json(args.out, payload)
@@ -635,11 +560,7 @@ def cmd_report(args, cfg: dict) -> int:
                 raise ConfigError(f"--{name} {path}: not a {name} artifact: {exc!r}") from exc
     body = "hpckit pipeline report\n======================\n" + "".join(
         "\n" + section for section in sections)
-
-    inputs = {k: v for k, v in (("sweep", args.sweep), ("reduction", args.reduction),
-                                ("search", args.search), ("validation", args.validation)) if v}
-    manifest = make_manifest(args, "report", {}, inputs=inputs, outputs={"out": args.out})
-    _write_text(args.out, manifest, body)
+    _write_text(args.out, make_manifest(args, {}), body)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -746,12 +667,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"hpckit: ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
     except NoFeasibleConfigurationError as exc:
-        print(f"hpckit: {exc}", file=sys.stderr)
+        # only search and validate raise it, and both read --dataset
+        print(f"hpckit: {args.dataset}: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    except (ConfigError, OSError) as exc:
-        print(f"hpckit: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HpckitError as exc:
+    except (HpckitError, OSError) as exc:
         print(f"hpckit: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -224,23 +224,15 @@ def map_requirements_to_monitors(
     """
     if not monitors:
         raise ValueError("no monitors to map against")
+    table = CorrelationMatrix.build(requirements, monitors)
     mapping: dict[str, MonitorMatch] = {}
-    centered = [(mon_name, _centered(series)) for mon_name, series in monitors]
-    for req_name, req_series in requirements:
-        req = _centered(req_series)
-        best: MonitorMatch | None = None
-        for mon_name, mon in centered:
-            try:
-                r = _corr(req, mon)
-            except DegenerateSeriesError:
-                continue
-            if best is None or abs(r) > abs(best.coefficient):
-                best = MonitorMatch(mon_name, r)
+    for i, req_name in enumerate(table.row_labels):
+        best = _strongest(table, i)
         if best is None:
             raise MappingError(
                 f"requirement {req_name!r} has no defined correlation with any monitor"
             )
-        mapping[req_name] = best
+        mapping[req_name] = MonitorMatch(*best)
     return mapping
 
 
@@ -259,22 +251,25 @@ def select_knobs(
     table = CorrelationMatrix.build(knobs, monitors)
     selected: list[KnobSelection] = []
     rejected: list[KnobSelection] = []
-    for i, (knob_name, _) in enumerate(knobs):
-        best: KnobSelection | None = None
-        for j, (mon_name, _) in enumerate(monitors):
-            if not table.defined[i, j]:
-                continue
-            r = float(table.values[i, j])
-            if best is None or abs(r) > abs(best.coefficient):
-                best = KnobSelection(knob_name, mon_name, r)
+    for i, knob_name in enumerate(table.row_labels):
+        best = _strongest(table, i)
         if best is None:
             log.warning("knob %s has no defined correlation with any monitor", knob_name)
             rejected.append(KnobSelection(knob_name, "", 0.0))
-        elif abs(best.coefficient) >= threshold:
-            selected.append(best)
+        elif abs(best[1]) >= threshold:
+            selected.append(KnobSelection(knob_name, *best))
         else:
-            rejected.append(best)
+            rejected.append(KnobSelection(knob_name, *best))
     return selected, rejected, table
+
+
+def _strongest(table: CorrelationMatrix, i: int) -> tuple[str, float] | None:
+    """Column label and r of row ``i``'s largest defined |r|; ties go to the earlier column."""
+    best = None
+    for j, label in enumerate(table.col_labels):
+        if table.defined[i, j] and (best is None or abs(table.values[i, j]) > abs(best[1])):
+            best = (label, float(table.values[i, j]))
+    return best
 
 
 @dataclass(frozen=True)

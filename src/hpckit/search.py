@@ -261,6 +261,14 @@ def reduced_best(
     return RankedConfig.at(dataset, _feasible_order(dataset, indices, scores, spec)[0], scores)
 
 
+def _lower_is_better(name: str, *values: float) -> tuple[float, ...]:
+    """``values`` of requirement ``name`` on a lower-is-better scale.
+
+    Availability, the one higher-is-better requirement, becomes unavailability.
+    """
+    return tuple(1.0 - v for v in values) if REQUIREMENT_DIRECTIONS[name] < 0 else values
+
+
 def _percent_difference(name: str, oracle_value: float, reduced_value: float) -> float:
     """Signed relative regret of the reduced pick; positive favors it.
 
@@ -270,13 +278,7 @@ def _percent_difference(name: str, oracle_value: float, reduced_value: float) ->
     finite relative measure; it is capped at one full unit (sign
     preserved), which no simulated dataset comes close to exercising.
     """
-    direction = REQUIREMENT_DIRECTIONS[name]
-    if direction < 0:
-        base = 1.0 - oracle_value
-        other = 1.0 - reduced_value
-    else:
-        base = oracle_value
-        other = reduced_value
+    base, other = _lower_is_better(name, oracle_value, reduced_value)
     if base == 0.0:
         return 0.0 if other == 0.0 else math.copysign(1.0, base - other)
     return (base - other) / base
@@ -284,12 +286,7 @@ def _percent_difference(name: str, oracle_value: float, reduced_value: float) ->
 
 def _improvement_ratio(name: str, baseline_value: float, picked_value: float) -> float | None:
     """How many times better the pick is than the baseline; None if undefined."""
-    if REQUIREMENT_DIRECTIONS[name] < 0:
-        base = 1.0 - baseline_value
-        pick = 1.0 - picked_value
-    else:
-        base = baseline_value
-        pick = picked_value
+    base, pick = _lower_is_better(name, baseline_value, picked_value)
     if pick == 0.0:
         return 1.0 if base == 0.0 else None
     return base / pick

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -567,10 +566,3 @@ def _parse_number(text: str, lineno: int, column: str) -> float:
     if not math.isfinite(value):
         raise IngestionError(f"row {lineno}, column {column}: non-finite value {text!r}")
     return value
-
-
-def load_knob_space(path) -> KnobSpace:
-    """Load a knob space from its JSON file form."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return KnobSpace.from_json_dict(data)

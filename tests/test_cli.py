@@ -528,6 +528,24 @@ def test_custom_space_file(tmp_path):
                  if l and not l.startswith("#")]
     assert len(data_rows) == 1 + 4  # header plus 2x2 configurations
 
+    # every stage that reads the space records the file in its manifest
+    d = tmp_path
+    stages = (
+        ["ingest", "--dataset", out, "--out", d / "copy.csv"],
+        ["derive", "--dataset", out, "--out", d / "derived.csv"],
+        ["reduce", "--dataset", d / "derived.csv", "--out", d / "r.json",
+         "--coefficients", d / "c.csv"],
+        ["search", "--dataset", d / "derived.csv", "--out", d / "s.json",
+         "--leaderboard", d / "l.txt"],
+        ["validate", "--dataset", d / "derived.csv", "--reduction", d / "r.json",
+         "--out", d / "v.json", "--table", d / "t.txt"],
+    )
+    for argv in stages:
+        assert run("--deterministic", *argv, "--space", space_file) == 0, argv[0]
+    for name in ("sweep.csv", "copy.csv", "derived.csv", "r.json", "c.csv", "s.json",
+                 "l.txt", "v.json", "t.txt"):
+        assert _manifest(d / name)["inputs"]["space"] == str(space_file), name
+
 
 # --------------------------------------------------------------- exit codes
 
@@ -536,10 +554,70 @@ def test_unknown_subcommand_exits_one(capsys):
     assert run("frobnicate") == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["ingest"], ["derive"], ["reduce"],
+                                  ["search"], ["validate"], ["report"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hpckit")
+
+
+@pytest.mark.parametrize("source", ["--config", "HPCKIT_CONFIG"])
+def test_missing_config_file_exits_one(tmp_path, capsys, monkeypatch, source):
+    missing = tmp_path / "nope.json"
+    if source == "--config":
+        argv = ["--config", missing]
+    else:
+        argv = []
+        monkeypatch.setenv("HPCKIT_CONFIG", str(missing))
+    out = tmp_path / "s.csv"
+    assert run(*argv, "simulate", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert source in err and str(missing) in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{\"metrics\": ", "[1, 2]"])
+def test_config_that_is_not_a_json_object_exits_one(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "s.csv"
+    assert run("--config", cfg, "simulate", "--out", out) == 1
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreachable_availability_target_exits_one(tmp_path, capsys):
+    # UnreachableTargetError is an HpckitError but not a ConfigError
+    sweep = tmp_path / "sweep.csv"
+    assert run("simulate", "--out", sweep) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metrics": {"max_servers": 2}}))
+    out = tmp_path / "d.csv"
+    capsys.readouterr()
+    assert run("--config", cfg, "derive", "--dataset", sweep, "--out", out) == 1
+    assert "no server count up to 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_dataset_file_exits_one(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert run("derive", "--dataset", missing, "--out", tmp_path / "d.csv") == 1
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["--5", "\u00b2"])
+def test_unparsable_seed_metadata_records_no_seed(tmp_path, seed):
+    sweep = tmp_path / "sweep.csv"
+    assert run("--deterministic", "simulate", "--out", sweep) == 0
+    odd = tmp_path / "odd.csv"
+    text = sweep.read_text(encoding="utf-8")
+    assert "# seed: 12\n" in text
+    odd.write_text(text.replace("# seed: 12\n", f"# seed: {seed}\n"), encoding="utf-8")
+    out = tmp_path / "copy.csv"
+    assert run("--deterministic", "ingest", "--dataset", odd, "--out", out) == 0
+    assert _manifest(out)["dataset_seed"] is None
 
 
 def test_corrupt_dataset_exits_three_naming_the_column(tmp_path, capsys):
@@ -562,6 +640,12 @@ def test_infeasible_requirements_exit_two(tmp_path, capsys):
                "--dataset", derived, "--out", tmp_path / "s.json",
                "--leaderboard", tmp_path / "l.txt") == 2
     assert "tight.csv" in capsys.readouterr().err
+    assert run("--config", cfg, "--deterministic", "validate",
+               "--dataset", derived, "--reduction", paths["reduction"],
+               "--out", tmp_path / "v.json", "--table", tmp_path / "t.txt") == 2
+    err = capsys.readouterr().err
+    assert err.count("tight.csv") == 1 and "no configuration meets" in err, err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_reduce_rejects_underived_dataset(tmp_path, capsys):
