@@ -27,9 +27,11 @@ from .reducer import (
     DEFAULT_KNOB_THRESHOLD,
     DEFAULT_REQUIREMENT_THRESHOLD,
     ReductionReport,
+    _check_threshold,
     reduce,
 )
-from .search import REQUIREMENT_NAMES, RankedConfig, rank_feasible, row_json_dict, validate
+from .search import (REQUIREMENT_NAMES, RankedConfig, check_weight, rank_feasible,
+                     row_json_dict, validate)
 from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
 from .sweep import (
     Configuration,
@@ -113,13 +115,13 @@ def load_config(path: str | None) -> dict:
 
 def _validate_config(cfg: dict) -> None:
     # validate every section up front, even those the current subcommand
-    # will not consume, so a broken config fails the same way everywhere
-    space = build_space(cfg)
+    # will not consume, so a broken config fails the same way everywhere;
+    # ``main`` checks the baseline against the space the run resolves
+    build_space(cfg)
     build_workload(cfg)
     build_effects(cfg)
     build_metrics(cfg)
     build_analysis(cfg)
-    build_baseline(cfg, space)
 
 
 def build_space(cfg: dict) -> KnobSpace:
@@ -161,17 +163,31 @@ def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementS
     )
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
-    section = _object(cfg.get("analysis") or {}, "config section 'analysis'")
-    _check_keys(section, _ANALYSIS_KEYS, "config section 'analysis'")
-    req_threshold = section.get("req_threshold", DEFAULT_REQUIREMENT_THRESHOLD)
-    knob_threshold = section.get("knob_threshold", DEFAULT_KNOB_THRESHOLD)
+    where = "config section 'analysis'"
+    section = _object(cfg.get("analysis") or {}, where)
+    _check_keys(section, _ANALYSIS_KEYS, where)
     weights = section.get("weights")
     if weights is not None:
-        where = "config section 'analysis'.weights"
-        _check_keys(_object(weights, where), REQUIREMENT_NAMES, where)
-        weights = {name: float(v) for name, v in weights.items()}
-    return float(req_threshold), float(knob_threshold), weights
+        _check_keys(_object(weights, f"{where}.weights"), REQUIREMENT_NAMES, f"{where}.weights")
+    try:
+        thresholds = [_number(section.get(key, default), key) for key, default in
+                      (("req_threshold", DEFAULT_REQUIREMENT_THRESHOLD),
+                       ("knob_threshold", DEFAULT_KNOB_THRESHOLD))]
+        for value, kind in zip(thresholds, ("requirement", "knob")):
+            _check_threshold(value, kind)
+        if weights is not None:
+            weights = {name: check_weight(name, _number(v, f"weight for {name}"))
+                       for name, v in weights.items()}
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return *thresholds, weights
 
 
 def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
@@ -260,7 +276,7 @@ def _read_json(path: str, flag: str) -> dict:
 
 
 def _resolve_space(args, cfg: dict) -> KnobSpace:
-    if args.space:
+    if getattr(args, "space", None):
         try:
             return KnobSpace.from_json_dict(_read_json(args.space, "--space"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -269,23 +285,21 @@ def _resolve_space(args, cfg: dict) -> KnobSpace:
 
 
 class _Dataset(NamedTuple):
-    """A loaded ``--dataset``: its rows, knob space, file digest and recorded seed."""
+    """A loaded ``--dataset``: its rows, file digest and recorded seed."""
 
     ds: SweepDataset
-    space: KnobSpace
     digest: str
     seed: int | None
 
     def manifest(self, args, **config) -> dict:
         """The run manifest of a stage that read this dataset."""
-        return make_manifest(args, {"space": self.space.to_json_dict(), **config},
+        return make_manifest(args, {"space": self.ds.space.to_json_dict(), **config},
                              self.seed, self.digest)
 
 
-def _load_dataset(args, cfg: dict, derived: bool = True) -> _Dataset:
-    """Read ``--dataset`` against the resolved space; ``derived`` requires requirement columns."""
+def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
+    """Read ``--dataset`` against ``space``; ``derived`` requires requirement columns."""
     path = _require_file(args.dataset, "--dataset")
-    space = _resolve_space(args, cfg)
     try:
         ds = ingest_csv(path, space)
     except IngestionError as exc:
@@ -298,7 +312,7 @@ def _load_dataset(args, cfg: dict, derived: bool = True) -> _Dataset:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     raw_seed = ds.metadata.get("seed", "")
     seed = int(raw_seed) if raw_seed.removeprefix("-").isdecimal() else None
-    return _Dataset(ds, space, digest, seed)
+    return _Dataset(ds, digest, seed)
 
 
 def _dataset_metrics(args, cfg: dict, ds: SweepDataset
@@ -324,8 +338,7 @@ def _dataset_metrics(args, cfg: dict, ds: SweepDataset
 # subcommands
 
 
-def cmd_simulate(args, cfg: dict) -> int:
-    space = _resolve_space(args, cfg)
+def cmd_simulate(args, cfg: dict, space: KnobSpace) -> int:
     if args.params:
         params = _override(WorkloadParams(), _read_json(args.params, "--params"),
                            f"--params {args.params}")
@@ -352,10 +365,10 @@ def cmd_simulate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args, cfg: dict) -> int:
-    data = _load_dataset(args, cfg, derived=False)
+def cmd_ingest(args, cfg: dict, space: KnobSpace) -> int:
+    data = _load_dataset(args, space, derived=False)
     state = "derived" if data.ds.is_derived else "underived"
-    print(f"{args.dataset}: {len(data.ds)} rows, {len(data.space.names)} knobs, {state}, "
+    print(f"{args.dataset}: {len(data.ds)} rows, {len(space.names)} knobs, {state}, "
           f"digest {data.digest}")
     if args.out:
         data.ds.metadata["manifest"] = _manifest_comment(data.manifest(args))
@@ -364,8 +377,8 @@ def cmd_ingest(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_derive(args, cfg: dict) -> int:
-    data = _load_dataset(args, cfg, derived=False)
+def cmd_derive(args, cfg: dict, space: KnobSpace) -> int:
+    data = _load_dataset(args, space, derived=False)
     models = _dataset_metrics(args, cfg, data.ds)
     derived = derive_dataset(data.ds, *models)
     derived.metadata["manifest"] = _manifest_comment(
@@ -375,8 +388,8 @@ def cmd_derive(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args, cfg: dict) -> int:
-    data = _load_dataset(args, cfg)
+def cmd_reduce(args, cfg: dict, space: KnobSpace) -> int:
+    data = _load_dataset(args, space)
     analysis = dict(zip(("req_threshold", "knob_threshold"), build_analysis(cfg)))
     # each threshold flag, when given, overrides the config key of its name
     analysis.update({k: getattr(args, k) for k in analysis if getattr(args, k) is not None})
@@ -396,8 +409,8 @@ def cmd_reduce(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, cfg: dict) -> int:
-    ds, space, _, _ = data = _load_dataset(args, cfg)
+def cmd_search(args, cfg: dict, space: KnobSpace) -> int:
+    ds, _, _ = data = _load_dataset(args, space)
     models = _dataset_metrics(args, cfg, ds)
     _, _, weights = build_analysis(cfg)
     scores, order = rank_feasible(ds, models[2], weights)
@@ -423,8 +436,8 @@ def cmd_search(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args, cfg: dict) -> int:
-    ds, space, _, _ = data = _load_dataset(args, cfg)
+def cmd_validate(args, cfg: dict, space: KnobSpace) -> int:
+    ds, _, _ = data = _load_dataset(args, space)
     try:
         report = ReductionReport.from_json_dict(_read_json(args.reduction, "--reduction"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -540,7 +553,7 @@ def _section(title: str, lines: list[str]) -> str:
     return "\n".join([title, "-" * len(title), *("  " + line for line in lines)]) + "\n"
 
 
-def cmd_report(args, cfg: dict) -> int:
+def cmd_report(args, cfg: dict, space: KnobSpace) -> int:
     if not any((args.sweep, args.reduction, args.search, args.validation)):
         raise ConfigError(
             "report needs at least one artifact "
@@ -557,7 +570,7 @@ def cmd_report(args, cfg: dict) -> int:
             try:
                 sections.append(_section(name, render(data)))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"--{name} {path}: not a {name} artifact: {exc!r}") from exc
+                raise ConfigError(f"--{name} {path}: not a {name} artifact: {exc}") from exc
     body = "hpckit pipeline report\n======================\n" + "".join(
         "\n" + section for section in sections)
     _write_text(args.out, make_manifest(args, {}), body)
@@ -662,7 +675,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        return args.handler(args, cfg)
+        space = _resolve_space(args, cfg)
+        build_baseline(cfg, space)  # against the space this run uses
+        return args.handler(args, cfg, space)
     except IngestionError as exc:
         print(f"hpckit: ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION

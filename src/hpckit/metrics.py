@@ -156,7 +156,7 @@ def min_servers(required: int, a: float, target: float, cap: int = 16) -> tuple[
             return servers, avail
         best = max(best, avail)
     raise UnreachableTargetError(
-        f"no server count up to {cap} reaches availability {target}", best
+        f"no server count up to {cap} reaches availability {target}; the best is {best}", best
     )
 
 
@@ -211,6 +211,6 @@ def derive_dataset(
     provisioned[:, col["capex"]] = cost.capex
     provisioned[:, col["opex"]] = cost.opex
     return replace(
-        ds, monitors=provisioned,
+        ds, monitors=provisioned, metadata=dict(ds.metadata),
         requirements=np.column_stack([performance, power, energy, availability, cost.total]),
         requirement_spec=ds.requirement_spec if spec is None else spec)

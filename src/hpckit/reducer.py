@@ -52,7 +52,10 @@ def pearson(x, y) -> float:
     through round-off on affine data, never by non-degenerate series)
     is snapped to the bound.
     """
-    return _corr(_centered(x), _centered(y))
+    r = _corr(_centered(x), _centered(y))
+    if math.isnan(r):
+        raise DegenerateSeriesError("correlation undefined for a zero-variance series")
+    return r
 
 
 def _centered(series) -> tuple[np.ndarray, float]:
@@ -65,12 +68,12 @@ def _centered(series) -> tuple[np.ndarray, float]:
 
 
 def _corr(cx: tuple[np.ndarray, float], cy: tuple[np.ndarray, float]) -> float:
-    """pearson of two ``_centered`` series."""
+    """pearson of two ``_centered`` series; NaN where either has zero variance."""
     (dx, sx), (dy, sy) = cx, cy
     if dx.shape != dy.shape:
         raise ValueError("pearson needs two series of equal length")
     if sx == 0.0 or sy == 0.0:
-        raise DegenerateSeriesError("correlation undefined for a zero-variance series")
+        return math.nan
     r = float(np.dot(dx, dy)) / (sx * sy)
     if 1.0 - abs(r) <= 1e-12:
         return math.copysign(1.0, r)
@@ -79,56 +82,35 @@ def _corr(cx: tuple[np.ndarray, float], cy: tuple[np.ndarray, float]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Labeled correlation table with an explicit undefined-entry mask."""
+    """Labeled correlation table; NaN marks an undefined entry."""
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     values: np.ndarray
-    defined: np.ndarray
 
     @classmethod
     def build(cls, rows: Sequence[Column], cols: Sequence[Column]) -> "CorrelationMatrix":
-        values = np.full((len(rows), len(cols)), np.nan)
-        defined = np.zeros((len(rows), len(cols)), dtype=bool)
+        values = np.empty((len(rows), len(cols)))
         centered_cols = [_centered(y) for _, y in cols]
         for i, (_, x) in enumerate(rows):
             cx = _centered(x)
-            for j, cy in enumerate(centered_cols):
-                try:
-                    values[i, j] = _corr(cx, cy)
-                    defined[i, j] = True
-                except DegenerateSeriesError:
-                    pass
-        return cls(tuple(n for n, _ in rows), tuple(n for n, _ in cols), values, defined)
-
-    def value(self, row: str, col: str) -> float | None:
-        i = self.row_labels.index(row)
-        j = self.col_labels.index(col)
-        return float(self.values[i, j]) if self.defined[i, j] else None
+            values[i] = [_corr(cx, cy) for cy in centered_cols]
+        return cls(tuple(n for n, _ in rows), tuple(n for n, _ in cols), values)
 
     def to_json_dict(self) -> dict:
         return {
             "rows": list(self.row_labels),
             "cols": list(self.col_labels),
-            "values": [
-                [float(self.values[i, j]) if self.defined[i, j] else None
-                 for j in range(len(self.col_labels))]
-                for i in range(len(self.row_labels))
-            ],
+            "values": [[None if math.isnan(v) else v for v in row] for row in self.values.tolist()],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationMatrix":
-        rows = tuple(data["rows"])
-        cols = tuple(data["cols"])
-        values = np.full((len(rows), len(cols)), np.nan)
-        defined = np.zeros((len(rows), len(cols)), dtype=bool)
-        for i, row in enumerate(data["values"]):
-            for j, cell in enumerate(row):
-                if cell is not None:
-                    values[i, j] = float(cell)
-                    defined[i, j] = True
-        return cls(rows, cols, values, defined)
+        rows, cols = tuple(data["rows"]), tuple(data["cols"])
+        cells = [[math.nan if c is None else float(c) for c in row] for row in data["values"]]
+        if [len(row) for row in cells] != [len(cols)] * len(rows):
+            raise ValueError(f"coefficient cells do not match their {len(rows)}x{len(cols)} labels")
+        return cls(rows, cols, np.array(cells).reshape(len(rows), len(cols)))
 
 
 @dataclass(frozen=True)
@@ -168,24 +150,23 @@ def prune_correlated(
     if len(set(names)) != len(names):
         raise ValueError("column labels must be unique")
 
-    removals: list[RemovalRecord] = []
-    live: list[Column] = []
-    for name, series in columns:
-        arr = np.asarray(series, dtype=float)
-        if arr.std() == 0.0:
-            log.warning("column %s has zero variance; excluded from pruning", name)
-            removals.append(RemovalRecord(name, "zero_variance"))
-        else:
-            live.append((name, arr))
-
-    # Each pair is correlated once; a removal deletes its row and column,
-    # keeping the live order, so every later scan sees the same matrix
-    # (and the same |r| sums) a fresh computation would give.
-    corr = np.eye(len(live))
-    centered = [_centered(series) for _, series in live]
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
+    # Each pair is correlated once, the diagonal too: a column is
+    # zero-variance where its own coefficient is undefined. A removal
+    # deletes its row and column, keeping the live order, so every later
+    # scan sees the same matrix (and the same |r| sums) a fresh
+    # computation would give.
+    centered = [_centered(series) for _, series in columns]
+    corr = np.empty((len(columns), len(columns)))
+    for i in range(len(columns)):
+        for j in range(i, len(columns)):
             corr[i, j] = corr[j, i] = _corr(centered[i], centered[j])
+    flat = np.isnan(corr.diagonal())
+    removals: list[RemovalRecord] = []
+    for name in (n for n, is_flat in zip(names, flat) if is_flat):
+        log.warning("column %s has zero variance; excluded from pruning", name)
+        removals.append(RemovalRecord(name, "zero_variance"))
+    live = [n for n, is_flat in zip(names, flat) if not is_flat]
+    corr = corr[~flat][:, ~flat]
     while len(live) >= 2:
         n = len(live)
         best_pair = None
@@ -203,14 +184,13 @@ def prune_correlated(
         sums = {k: float(np.abs(corr[k]).sum() - 1.0) for k in (i, j)}
         drop, keep = (i, j) if sums[i] < sums[j] else (j, i)
         removals.append(RemovalRecord(
-            removed=live[drop][0], reason="correlated", partner=live[keep][0],
+            removed=live[drop], reason="correlated", partner=live[keep],
             coefficient=float(corr[i, j]), removed_sum=sums[drop], partner_sum=sums[keep],
         ))
         del live[drop]
         corr = np.delete(np.delete(corr, drop, axis=0), drop, axis=1)
 
-    kept = [name for name, _ in live]
-    return kept, removals
+    return live, removals
 
 
 def map_requirements_to_monitors(
@@ -265,11 +245,10 @@ def select_knobs(
 
 def _strongest(table: CorrelationMatrix, i: int) -> tuple[str, float] | None:
     """Column label and r of row ``i``'s largest defined |r|; ties go to the earlier column."""
-    best = None
-    for j, label in enumerate(table.col_labels):
-        if table.defined[i, j] and (best is None or abs(table.values[i, j]) > abs(best[1])):
-            best = (label, float(table.values[i, j]))
-    return best
+    row = table.values[i].tolist()
+    j = max((j for j, r in enumerate(row) if not math.isnan(r)), key=lambda j: abs(row[j]),
+            default=None)
+    return None if j is None else (table.col_labels[j], row[j])
 
 
 @dataclass(frozen=True)
@@ -311,15 +290,10 @@ class ReductionReport:
 
     def coefficients_csv(self) -> str:
         """Knob-by-monitor coefficient table as CSV text."""
-        out = ["knob," + ",".join(self.knob_coefficients.col_labels)]
-        for i, knob in enumerate(self.knob_coefficients.row_labels):
-            cells = []
-            for j in range(len(self.knob_coefficients.col_labels)):
-                if self.knob_coefficients.defined[i, j]:
-                    cells.append(format(float(self.knob_coefficients.values[i, j]), ".6f"))
-                else:
-                    cells.append("")
-            out.append(knob + "," + ",".join(cells))
+        table = self.knob_coefficients
+        out = ["knob," + ",".join(table.col_labels)]
+        for knob, row in zip(table.row_labels, table.values.tolist()):
+            out.append(knob + "," + ",".join("" if math.isnan(v) else f"{v:.6f}" for v in row))
         return "\n".join(out) + "\n"
 
     @classmethod

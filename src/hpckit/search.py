@@ -25,42 +25,13 @@ import numpy as np
 from .errors import ConfigError, NoFeasibleConfigurationError
 from .metrics import RequirementSpec
 from .reducer import ReductionReport
-from .sweep import (
-    MONITOR_FIELDS,
-    MONITOR_NAMES,
-    REQUIREMENT_NAMES,
-    Configuration,
-    SweepDataset,
-    zscore,
-)
+from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, Configuration, SweepDataset, zscore
 
 log = logging.getLogger(__name__)
 
-# +1 when smaller readings are preferable, -1 when larger ones are.
-MONITOR_DIRECTIONS: dict[str, int] = {
-    "execution_time_s": +1,
-    "ipc": -1,
-    "dram_power_w": +1,
-    "cpu_power_w": +1,
-    "peak_power_w": +1,
-    "cpu_temp_c": +1,
-    "mpki": +1,
-    "server_mtbf_h": -1,
-    "system_mtbf_h": -1,
-    "capex": +1,
-    "opex": +1,
-}
-
-REQUIREMENT_DIRECTIONS: dict[str, int] = {
-    "performance_s": +1,
-    "power_w": +1,
-    "energy_j": +1,
-    "availability": -1,
-    "cost": +1,
-}
-
-assert set(MONITOR_DIRECTIONS) == {name for name, _ in MONITOR_FIELDS}
-assert set(REQUIREMENT_DIRECTIONS) == set(REQUIREMENT_NAMES)
+# The monitor and requirement columns whose larger readings are
+# preferable; every other column is lower-is-better.
+HIGHER_IS_BETTER = frozenset({"ipc", "server_mtbf_h", "system_mtbf_h", "availability"})
 
 
 def _meets(requirements: np.ndarray, spec: RequirementSpec):
@@ -86,25 +57,31 @@ def feasible_rows(dataset: SweepDataset, spec: RequirementSpec) -> np.ndarray:
     return _meets(dataset.requirements, spec)
 
 
+def check_weight(name: str, w: float) -> float:
+    """``w`` as the scoring weight of column ``name``: finite and non-negative."""
+    if not 0.0 <= w < math.inf:
+        raise ConfigError(f"weight for {name} must be finite and non-negative, got {w}")
+    return w
+
+
 def _combined_zscores(
-    columns: list[tuple[str, np.ndarray, int]],
+    columns: list[tuple[str, np.ndarray]],
     weights: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """Weighted sum of sign-adjusted z-scores, skipping flat columns.
+    """Weighted sum of lower-is-better z-scores, skipping flat columns.
 
     Weights default to equal shares. Flat (zero-spread) columns carry
     no ranking information; they are dropped with a warning and the
     remaining weights are renormalized to keep the total weight at 1.
     """
     live: list[tuple[np.ndarray, float]] = []
-    for name, values, direction in columns:
-        w = 1.0 if weights is None else float(weights.get(name, 1.0))
-        if w < 0:
-            raise ConfigError(f"weight for {name} must be non-negative")
+    for name, values in columns:
+        w = 1.0 if weights is None else check_weight(name, float(weights.get(name, 1.0)))
         if float(np.std(values)) == 0.0:
             log.warning("column %s has zero spread; excluded from scoring", name)
             continue
-        live.append((direction * zscore(values), w))
+        # a product, not unary minus: np.negative would map more of numpy's code
+        live.append(((-1.0 if name in HIGHER_IS_BETTER else 1.0) * zscore(values), w))
     total = sum(w for _, w in live)
     if not live or total == 0.0:
         raise ConfigError("every scoring column is flat or zero-weighted; nothing to rank on")
@@ -123,10 +100,7 @@ def score_requirements(
         raise ValueError("dataset has no derived requirement values")
     if len(dataset) < 2:
         raise ValueError("scoring needs at least two rows")
-    columns = [
-        (name, dataset.requirement_column(name), REQUIREMENT_DIRECTIONS[name])
-        for name in REQUIREMENT_NAMES
-    ]
+    columns = [(name, dataset.requirement_column(name)) for name in REQUIREMENT_NAMES]
     return _combined_zscores(columns, weights)
 
 
@@ -184,11 +158,14 @@ def _feasible_order(
             (energy - spec.energy_max) / spec.energy_max,
             (spec.availability_min - availability) / spec.availability_min,
         ], axis=0))
-        least = int(np.argmin(violation))
+        least = int(indices[np.argmin(violation)])
+        closest = " ".join(f"{k}={v}" for k, v in
+                           row_json_dict(dataset, least)["configuration"].items())
         raise NoFeasibleConfigurationError(
-            "no configuration meets every requirement threshold",
-            least_violating=dataset.config(int(indices[least])),
-            violation=float(violation[least]),
+            f"no configuration meets every requirement threshold; the closest overshoots "
+            f"one by {violation.min():.2%}: {closest}",
+            least_violating=dataset.config(least),
+            violation=float(violation.min()),
         )
     # Python's sort: np.lexsort would map about 0.1 MB more of numpy's code
     score, rank = scores.tolist(), dataset.rank.tolist()
@@ -240,6 +217,9 @@ def reduced_best(
     unknown = selected - set(dataset.space.names)
     if unknown:
         raise ConfigError(f"selected knobs not in this space: {sorted(unknown)}")
+    unknown = set(report.kept_monitors) - set(MONITOR_NAMES)
+    if unknown:
+        raise ConfigError(f"kept monitors not among the sweep's monitors: {sorted(unknown)}")
     baseline = baseline or dataset.space.baseline_configuration()
     dataset.space.validate_configuration(baseline)
 
@@ -252,10 +232,8 @@ def reduced_best(
     if len(indices) < 2:
         raise ConfigError("reduced slice has fewer than two rows; cannot rank")
 
-    columns = [
-        (name, dataset.monitors[indices, MONITOR_NAMES.index(name)], MONITOR_DIRECTIONS[name])
-        for name in report.kept_monitors
-    ]
+    columns = [(name, dataset.monitors[indices, MONITOR_NAMES.index(name)])
+               for name in report.kept_monitors]
     scores = np.full(len(dataset), math.inf)
     scores[indices] = _combined_zscores(columns)
     return RankedConfig.at(dataset, _feasible_order(dataset, indices, scores, spec)[0], scores)
@@ -266,7 +244,7 @@ def _lower_is_better(name: str, *values: float) -> tuple[float, ...]:
 
     Availability, the one higher-is-better requirement, becomes unavailability.
     """
-    return tuple(1.0 - v for v in values) if REQUIREMENT_DIRECTIONS[name] < 0 else values
+    return tuple(1.0 - v for v in values) if name in HIGHER_IS_BETTER else values
 
 
 def _percent_difference(name: str, oracle_value: float, reduced_value: float) -> float:

@@ -242,6 +242,45 @@ def test_report_rejects_json_that_is_not_an_artifact(tmp_path, capsys):
     assert "not a reduction artifact" in capsys.readouterr().err
 
 
+def test_non_reduction_json_reads_the_same_in_validate_and_report(tmp_path, capsys):
+    paths = run_pipeline(tmp_path)
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"kept_monitors": []}))
+    capsys.readouterr()
+    assert run("validate", "--dataset", paths["derived"], "--reduction", bogus,
+               "--out", tmp_path / "v.json", "--table", tmp_path / "t.txt") == 1
+    err = capsys.readouterr().err
+    assert run("report", "--reduction", bogus, "--out", tmp_path / "r.txt") == 1
+    assert capsys.readouterr().err == err
+    assert f"--reduction {bogus}: not a reduction artifact: 'thresholds'" in err, err
+
+
+def _extra_coefficient_cell(data: dict) -> None:
+    data["knob_coefficients"]["values"][0].append(0.5)
+
+
+def _unknown_kept_monitor(data: dict) -> None:
+    data["kept_monitors"] = ["bogus"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_extra_coefficient_cell, "not a reduction artifact: coefficient cells do not match"),
+    (_unknown_kept_monitor, "kept monitors not among the sweep's monitors: ['bogus']"),
+])
+def test_bad_reduction_artifact_exits_one(tmp_path, capsys, corrupt, message):
+    paths = run_pipeline(tmp_path)
+    data = json.loads(paths["reduction"].read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--dataset", paths["derived"], "--reduction", bad,
+               "--out", tmp_path / "v.json", "--table", tmp_path / "t.txt") == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -487,6 +526,29 @@ def test_nan_or_negative_config_scalar_exits_one(tmp_path, capsys, config, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("analysis, message", [
+    ({"req_threshold": "x"}, "req_threshold must be a number, got 'x'"),
+    ({"knob_threshold": None}, "knob_threshold must be a number, got None"),
+    ({"req_threshold": True}, "req_threshold must be a number, got True"),
+    ({"req_threshold": 0.0}, "requirement threshold must lie in (0, 1], got 0.0"),
+    ({"knob_threshold": math.nan}, "knob threshold must lie in (0, 1], got nan"),
+    ({"knob_threshold": 1.5}, "knob threshold must lie in (0, 1], got 1.5"),
+    ({"weights": {"cost": "x"}}, "weight for cost must be a number, got 'x'"),
+    ({"weights": {"cost": None}}, "weight for cost must be a number, got None"),
+    ({"weights": {"cost": math.nan}}, "weight for cost must be finite and non-negative, got nan"),
+    ({"weights": {"cost": math.inf}}, "weight for cost must be finite and non-negative, got inf"),
+    ({"weights": {"cost": -1.0}}, "weight for cost must be finite and non-negative, got -1.0"),
+])
+def test_bad_analysis_value_exits_one(tmp_path, capsys, analysis, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"analysis": analysis}))
+    out = tmp_path / "s.csv"
+    assert run("--config", cfg, "simulate", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"config section 'analysis': {message}" in err, err
+    assert not out.exists()
+
+
 def test_negative_seed_exits_one(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run("simulate", "--seed", "-1", "--out", out) == 1
@@ -547,6 +609,42 @@ def test_custom_space_file(tmp_path):
         assert _manifest(d / name)["inputs"]["space"] == str(space_file), name
 
 
+def test_config_baseline_is_checked_against_the_space_file(tmp_path):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({"knobs": [
+        {"name": name, "levels": [{"label": "off"}, {"label": "on"}], "baseline": 0}
+        for name in ("SMT", "X")]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"baseline": {"X": "on"}}))
+    d = tmp_path
+    stages = (
+        ["simulate", "--out", d / "sweep.csv"],
+        ["derive", "--dataset", d / "sweep.csv", "--out", d / "derived.csv"],
+        ["reduce", "--dataset", d / "derived.csv", "--knob-threshold", "0.01",
+         "--out", d / "r.json", "--coefficients", d / "c.csv"],
+        ["validate", "--dataset", d / "derived.csv", "--reduction", d / "r.json",
+         "--out", d / "v.json", "--table", d / "t.txt"],
+    )
+    for argv in stages:
+        assert run("--config", cfg, "--deterministic", *argv, "--space", space_file) == 0, argv[0]
+    assert _manifest(d / "v.json")["config"]["baseline"] == {"SMT": "off", "X": "on"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["ingest", "--dataset", "nope.csv"], ["derive", "--dataset", "nope.csv"],
+    ["reduce", "--dataset", "nope.csv"], ["search", "--dataset", "nope.csv"],
+    ["validate", "--dataset", "nope.csv", "--reduction", "nope.json"],
+    ["report", "--sweep", "nope.csv"],
+])
+def test_bad_baseline_exits_one_in_every_subcommand(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"baseline": {"X": "on"}}))
+    assert run("--config", "cfg.json", *argv) == 1
+    err = capsys.readouterr().err
+    assert "unknown key(s) ['X'] in config section 'baseline'" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -597,7 +695,8 @@ def test_unreachable_availability_target_exits_one(tmp_path, capsys):
     out = tmp_path / "d.csv"
     capsys.readouterr()
     assert run("--config", cfg, "derive", "--dataset", sweep, "--out", out) == 1
-    assert "no server count up to 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no server count up to 2" in err and "; the best is 0.9" in err, err
     assert not out.exists()
 
 
@@ -646,6 +745,22 @@ def test_infeasible_requirements_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("tight.csv") == 1 and "no configuration meets" in err, err
     assert not (tmp_path / "v.json").exists()
+
+
+def test_infeasible_error_names_the_closest_configuration(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metrics": {"power_max_w": 1.0}}))
+    sweep, derived = tmp_path / "sweep.csv", tmp_path / "derived.csv"
+    assert run("simulate", "--out", sweep) == 0
+    assert run("--config", cfg, "derive", "--dataset", sweep, "--out", derived) == 0
+    capsys.readouterr()
+    assert run("--config", cfg, "search", "--dataset", derived,
+               "--out", tmp_path / "s.json", "--leaderboard", tmp_path / "l.txt") == 2
+    err = capsys.readouterr().err
+    # the default space's levels (0, 0, 0, 1, 0, 1), about 27x over the power limit
+    assert ("no configuration meets every requirement threshold; the closest overshoots "
+            "one by 2635.71%: DVFS=1.2GHz SMT=Disable DRAM Protection=No Protection "
+            "Turbo Mode=Enable Prefetchers=Disable Redundancy=Enable") in err, err
 
 
 def test_reduce_rejects_underived_dataset(tmp_path, capsys):

@@ -291,6 +291,15 @@ def test_derive_requirements_binomial_branch():
     assert req.availability >= 0.99
 
 
+def test_derived_dataset_has_its_own_metadata():
+    avail, cost = _models()
+    raw = SweepDataset(space_of(2), [(0,)], [monitor_vector()], metadata={"seed": "12"})
+    derived = derive_dataset(raw, avail, cost)
+    derived.metadata["manifest"] = "{}"
+    assert derived.metadata == {"seed": "12", "manifest": "{}"}
+    assert raw.metadata == {"seed": "12"}
+
+
 def test_derived_energy_uses_same_arithmetic_path():
     avail, cost_model = _models()
     mon = monitor_vector(execution_time=123.4, cpu_power=46.2, dram_power=9.3)

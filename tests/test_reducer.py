@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hpckit.cli import render_reduction
 from hpckit.errors import DegenerateSeriesError, MappingError
 from hpckit.reducer import (
+    CorrelationMatrix,
     ReductionReport,
     map_requirements_to_monitors,
     pearson,
@@ -163,6 +164,11 @@ def test_prune_excludes_zero_variance_columns_up_front():
     assert [(r.removed, r.reason) for r in removed] == [("flat", "zero_variance")]
 
 
+def test_prune_rejects_a_one_point_column():
+    with pytest.raises(ValueError, match="at least 2 points"):
+        prune_correlated([("a", np.array([1.0])), ("b", np.array([2.0]))], 0.90)
+
+
 def test_prune_rejects_bad_thresholds_and_duplicate_labels():
     cols = [("a", np.array([1.0, 2.0, 3.0])), ("b", np.array([2.0, 1.0, 3.0]))]
     for bad in (0.0, -0.5, 1.5):
@@ -288,7 +294,7 @@ def test_knob_equal_to_monitor_selected_with_r_one():
     assert selected[0].knob == "K"
     assert selected[0].monitor == "m"
     assert selected[0].coefficient == 1.0
-    assert table.value("K", "m") == 1.0
+    assert table.values[0, 0] == 1.0
 
 
 def test_selection_threshold_is_inclusive():
@@ -454,3 +460,28 @@ def test_report_renders_text_and_csv(default_report):
     assert "DVFS" in text and "execution_time_s" in text
     csv = default_report.coefficients_csv()
     assert csv.splitlines()[0].startswith("knob")
+
+
+def test_undefined_coefficient_is_nan_written_as_null_and_an_empty_cell(default_report):
+    series = np.array([0.0, 1.0, 0.0, 1.0])
+    _, _, table = select_knobs([("flat", np.zeros(4)), ("K", series)], [("m", 2.0 * series)], 0.40)
+    assert math.isnan(table.values[0, 0]) and table.values[1, 0] == 1.0
+    assert table.to_json_dict()["values"] == [[None], [1.0]]
+    clone = CorrelationMatrix.from_json_dict(table.to_json_dict())
+    np.testing.assert_array_equal(clone.values, table.values)  # NaN matches NaN
+    report = ReductionReport.from_json_dict(
+        {**default_report.to_json_dict(), "knob_coefficients": table.to_json_dict()})
+    assert report.coefficients_csv() == "knob,m\nflat,\nK,1.000000\n"
+
+
+@pytest.mark.parametrize("values", [[[0.5, 0.1, 0.2]], [[0.5, 0.1]] * 2, [[0.5]]])
+def test_coefficient_cells_must_match_their_labels(values):
+    with pytest.raises(ValueError, match="do not match"):
+        CorrelationMatrix.from_json_dict({"rows": ["K"], "cols": ["m", "n"], "values": values})
+
+
+def test_strongest_monitor_skips_undefined_and_ties_to_the_earlier_column():
+    series = np.array([0.0, 1.0, 0.0, 1.0])
+    monitors = [("flat", np.ones(4)), ("a", series), ("b", 3.0 - series)]
+    selected, _, _ = select_knobs([("K", series)], monitors, 0.40)
+    assert selected == [("K", "a", 1.0)]

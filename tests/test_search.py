@@ -1,6 +1,7 @@
 """Feasibility filtering, scoring, exhaustive and reduced search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hpckit.cli import render_validation
 from hpckit.errors import ConfigError, NoFeasibleConfigurationError
 from hpckit.metrics import RequirementSpec
 from hpckit.search import (
+    HIGHER_IS_BETTER,
     feasible_rows,
     is_feasible,
     oracle_best,
@@ -20,6 +22,7 @@ from hpckit.search import (
     validate,
 )
 from hpckit.sweep import (
+    MONITOR_NAMES,
     REQUIREMENT_FIELDS,
     REQUIREMENT_NAMES,
     Configuration,
@@ -333,6 +336,18 @@ def test_reduced_best_requires_selected_knobs_and_monitors(derived_dataset):
     report = make_report(derived_dataset, ["execution_time_s"], [])
     with pytest.raises(ConfigError):
         reduced_best(derived_dataset, report)
+
+
+def test_reduced_best_rejects_unknown_monitors(derived_dataset):
+    report = replace(make_report(derived_dataset, ["execution_time_s"], ["DVFS"]),
+                     kept_monitors=("execution_time_s", "bogus"))
+    with pytest.raises(ConfigError, match=r"kept monitors .*\['bogus'\]"):
+        reduced_best(derived_dataset, report)
+
+
+def test_higher_is_better_names_only_sweep_columns():
+    assert HIGHER_IS_BETTER <= set(MONITOR_NAMES) | set(REQUIREMENT_NAMES)
+    assert "availability" in HIGHER_IS_BETTER
 
 
 def test_perfect_proxies_reach_the_oracle_exactly():
