@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .defaults import DEFAULT_SEED, default_effects, default_knob_space
-from .errors import ConfigError, HpckitError, IngestionError, NoFeasibleConfigurationError
+from .errors import (ConfigError, HpckitError, IngestionError, NoFeasibleConfigurationError,
+                     require_number)
 from .metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from .reducer import (
     DEFAULT_KNOB_THRESHOLD,
@@ -52,22 +53,6 @@ _INPUT_FLAGS = ("dataset", "space", "params", "reduction", "sweep", "search", "v
 _OUTPUT_FLAGS = ("out", "coefficients", "leaderboard", "table")
 _CONFIG_SECTIONS = ("space", "workload", "effects", "metrics", "analysis", "baseline")
 _ANALYSIS_KEYS = ("req_threshold", "knob_threshold", "weights")
-# metrics config key -> (model, field); drives parsing, key checks and manifests
-_METRICS_FIELDS = {
-    "mttr_h": (AvailabilityModel, "server_mttr"),
-    "required_servers": (AvailabilityModel, "required_servers"),
-    "availability_target": (AvailabilityModel, "availability_target"),
-    "max_servers": (AvailabilityModel, "max_servers"),
-    "server_price": (CostModel, "server_price"),
-    "infra_price": (CostModel, "infrastructure_price"),
-    "energy_price_per_j": (CostModel, "energy_price"),
-    "maintenance_rate": (CostModel, "maintenance_rate"),
-    "performance_max_s": (RequirementSpec, "performance_max"),
-    "power_max_w": (RequirementSpec, "power_max"),
-    "energy_max_j": (RequirementSpec, "energy_max"),
-    "availability_min": (RequirementSpec, "availability_min"),
-    "min_mc_iterations": (RequirementSpec, "min_mc_iterations"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +138,14 @@ def build_effects(cfg: dict) -> tuple[KnobEffects, FaultModel]:
 
 
 def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementSpec]:
+    """The three metrics models; the section's keys are their field names."""
     where = "config section 'metrics'"
     section = _object(cfg.get("metrics") or {}, where)
-    _check_keys(section, _METRICS_FIELDS, where)
-    return tuple(
-        _override(model(), {f: section[key] for key, (m, f) in _METRICS_FIELDS.items()
-                            if m is model and key in section}, where)
-        for model in (AvailabilityModel, CostModel, RequirementSpec)
-    )
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    models = (AvailabilityModel(), CostModel(), RequirementSpec())
+    names = [{f.name for f in fields(m)} for m in models]
+    _check_keys(section, set().union(*names), where)
+    return tuple(_override(m, {k: v for k, v in section.items() if k in n}, where)
+                 for m, n in zip(models, names))
 
 
 def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
@@ -177,14 +156,16 @@ def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
     if weights is not None:
         _check_keys(_object(weights, f"{where}.weights"), REQUIREMENT_NAMES, f"{where}.weights")
     try:
-        thresholds = [_number(section.get(key, default), key) for key, default in
+        thresholds = [require_number(key, section.get(key, default)) for key, default in
                       (("req_threshold", DEFAULT_REQUIREMENT_THRESHOLD),
                        ("knob_threshold", DEFAULT_KNOB_THRESHOLD))]
         for value, kind in zip(thresholds, ("requirement", "knob")):
             _check_threshold(value, kind)
         if weights is not None:
-            weights = {name: check_weight(name, _number(v, f"weight for {name}"))
+            weights = {name: check_weight(name, require_number(f"weight for {name}", v))
                        for name, v in weights.items()}
+            if not any(weights.get(name, 1.0) for name in REQUIREMENT_NAMES):
+                raise ConfigError("every weight is zero; nothing to rank on")
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return *thresholds, weights
@@ -214,8 +195,7 @@ def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
 
 
 def _metrics_json(*models) -> dict:
-    by_type = {type(m): m for m in models}
-    return {key: getattr(by_type[m], f) for key, (m, f) in _METRICS_FIELDS.items()}
+    return {key: value for m in models for key, value in asdict(m).items()}
 
 
 def make_manifest(args, config: dict, dataset_seed: int | None = None,
@@ -273,6 +253,14 @@ def _read_json(path: str, flag: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{flag} {path}: expected a JSON object")
     return data
+
+
+def _read_reduction(path: str) -> ReductionReport:
+    """The ``--reduction`` artifact, as both validate and report read it."""
+    try:
+        return ReductionReport.from_json_dict(_read_json(path, "--reduction"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"--reduction {path}: not a reduction artifact: {exc}") from exc
 
 
 def _resolve_space(args, cfg: dict) -> KnobSpace:
@@ -438,11 +426,7 @@ def cmd_search(args, cfg: dict, space: KnobSpace) -> int:
 
 def cmd_validate(args, cfg: dict, space: KnobSpace) -> int:
     ds, _, _ = data = _load_dataset(args, space)
-    try:
-        report = ReductionReport.from_json_dict(_read_json(args.reduction, "--reduction"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"--reduction {args.reduction}: not a reduction artifact: {exc}") from exc
-
+    report = _read_reduction(args.reduction)
     models = _dataset_metrics(args, cfg, ds)
     _, _, weights = build_analysis(cfg)
     baseline = build_baseline(cfg, space)
@@ -566,7 +550,8 @@ def cmd_report(args, cfg: dict, space: KnobSpace) -> int:
                          ("validation", render_validation)):
         path = getattr(args, name)
         if path:
-            data = _read_json(path, f"--{name}")
+            data = (_read_reduction(path).to_json_dict() if name == "reduction"
+                    else _read_json(path, f"--{name}"))
             try:
                 sections.append(_section(name, render(data)))
             except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,9 @@
-"""Exception types, and the integer check, shared across the toolkit."""
+"""Exception types, and the integer and number checks, shared across the toolkit."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class HpckitError(Exception):
@@ -48,7 +51,32 @@ class NoFeasibleConfigurationError(HpckitError):
         self.violation = violation
 
 
-def require_int(name: str, value) -> None:
-    """Reject any value that is not an ``int`` (``bool`` and ``2.0`` included)."""
+def require_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a value that is not an ``int`` (``bool`` and ``2.0`` too) or is below ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+# The ranges ``require_number`` checks, each named by the words of its message.
+FINITE = "finite"
+POSITIVE = "positive and finite"
+NON_NEGATIVE = "non-negative and finite"
+_IN_RANGE = {
+    FINITE: math.isfinite,
+    POSITIVE: lambda v: 0 < v < math.inf,
+    NON_NEGATIVE: lambda v: 0 <= v < math.inf,
+}
+
+
+def require_number(name: str, value, rule: str | None = None) -> float:
+    """``value`` as a float, once it is a real number within the range ``rule`` names, if any.
+
+    numpy's scalars pass; ``bool``, strings and None do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if rule is not None and not _IN_RANGE[rule](value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)

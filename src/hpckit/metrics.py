@@ -14,37 +14,30 @@ or whole numpy columns alike; ``derive_dataset`` applies them to columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnreachableTargetError, require_int
+from .errors import NON_NEGATIVE, POSITIVE, UnreachableTargetError, require_int, require_number
 from .sweep import MONITOR_NAMES, SweepDataset
-
-BILLION_HOURS = 1e9  # FIT rates count failures per billion device hours
 
 
 @dataclass(frozen=True)
 class AvailabilityModel:
     """Repair time and provisioning policy for the availability requirement."""
 
-    server_mttr: float = 24.0          # hours to restore a failed server
+    mttr_h: float = 24.0               # hours to restore a failed server
     required_servers: int = 2          # N servers that must be up
     availability_target: float = 0.99  # minimum acceptable system availability
     max_servers: int = 16              # provisioning cap for the search
 
     def __post_init__(self):
-        require_int("required_servers", self.required_servers)
-        require_int("max_servers", self.max_servers)
-        if not 0 < self.server_mttr < math.inf:
-            raise ValueError("server_mttr must be positive and finite")
-        if self.required_servers < 1:
-            raise ValueError("required_servers must be at least 1")
-        if not 0.0 < self.availability_target < 1.0:
+        require_number("mttr_h", self.mttr_h, POSITIVE)
+        require_int("required_servers", self.required_servers, 1)
+        if not 0.0 < require_number("availability_target", self.availability_target) < 1.0:
             raise ValueError("availability_target must lie in (0, 1)")
-        if self.max_servers < self.required_servers:
-            raise ValueError("max_servers must be at least required_servers")
+        require_int("max_servers", self.max_servers, self.required_servers)
 
 
 @dataclass(frozen=True)
@@ -52,14 +45,13 @@ class CostModel:
     """Unit prices for capex and opex."""
 
     server_price: float = 2000.0       # per server, currency
-    infrastructure_price: float = 500.0  # per server share of racks/cooling
-    energy_price: float = 1e-6         # currency per joule
+    infra_price: float = 500.0         # per server share of racks/cooling
+    energy_price_per_j: float = 1e-6   # currency per joule
     maintenance_rate: float = 0.01     # yearly fraction of capex
 
     def __post_init__(self):
-        for name in ("server_price", "infrastructure_price", "energy_price", "maintenance_rate"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name), NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -72,22 +64,18 @@ class RequirementSpec:
     checked once per dataset rather than per configuration.
     """
 
-    performance_max: float = 600.0     # seconds
-    power_max: float = 81.0            # watts
-    energy_max: float = 48600.0        # joules
+    performance_max_s: float = 600.0
+    power_max_w: float = 81.0
+    energy_max_j: float = 48600.0
     availability_min: float = 0.99
     min_mc_iterations: int = 10_000
 
     def __post_init__(self):
-        for name in ("performance_max", "power_max", "energy_max"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.availability_min < 1.0:
+        for name in ("performance_max_s", "power_max_w", "energy_max_j"):
+            require_number(name, getattr(self, name), POSITIVE)
+        if not 0.0 < require_number("availability_min", self.availability_min) < 1.0:
             raise ValueError("availability_min must lie in (0, 1)")
-        require_int("min_mc_iterations", self.min_mc_iterations)
-        if self.min_mc_iterations < 1:
-            raise ValueError("min_mc_iterations must be positive")
+        require_int("min_mc_iterations", self.min_mc_iterations, 1)
 
 
 class CostBreakdown(NamedTuple):
@@ -108,13 +96,6 @@ def derive_energy(performance: float, power: float) -> float:
     if np.any(performance < 0) or np.any(power < 0):
         raise ValueError("performance and power must be non-negative")
     return performance * power
-
-
-def fit_to_mtbf(fit: float) -> float:
-    """Convert a FIT rate (failures per 1e9 hours) to MTBF in hours."""
-    if fit <= 0:
-        raise ValueError("FIT rate must be positive")
-    return BILLION_HOURS / fit
 
 
 def server_availability(mtbf: float, mttr: float) -> float:
@@ -171,8 +152,8 @@ def derive_cost(servers: int, energy: float, model: CostModel) -> CostBreakdown:
         raise ValueError("servers must be at least 1")
     if np.any(energy < 0):
         raise ValueError("energy must be non-negative")
-    capex = servers * (model.server_price + model.infrastructure_price)
-    opex = energy * model.energy_price * servers + model.maintenance_rate * capex
+    capex = servers * (model.server_price + model.infra_price)
+    opex = energy * model.energy_price_per_j * servers + model.maintenance_rate * capex
     return CostBreakdown(capex, opex, capex + opex)
 
 
@@ -200,7 +181,7 @@ def derive_dataset(
     power = derive_power(monitors[:, col["cpu_power_w"]], monitors[:, col["dram_power_w"]])
     energy = derive_energy(performance, power)
     server_mtbf = monitors[:, col["server_mtbf_h"]]
-    a = server_availability(server_mtbf, avail_model.server_mttr).tolist()
+    a = server_availability(server_mtbf, avail_model.mttr_h).tolist()
     required = avail_model.required_servers
     servers, availability = zip(*(min_servers(required, x, avail_model.availability_target,
                                               avail_model.max_servers) for x in a))

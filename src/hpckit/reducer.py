@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, MappingError
+from .errors import FINITE, DegenerateSeriesError, MappingError, require_number
 from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, SweepDataset
 
 log = logging.getLogger(__name__)
@@ -107,7 +107,8 @@ class CorrelationMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationMatrix":
         rows, cols = tuple(data["rows"]), tuple(data["cols"])
-        cells = [[math.nan if c is None else float(c) for c in row] for row in data["values"]]
+        cells = [[math.nan if c is None else require_number("coefficient", c, FINITE) for c in row]
+                 for row in data["values"]]
         if [len(row) for row in cells] != [len(cols)] * len(rows):
             raise ValueError(f"coefficient cells do not match their {len(rows)}x{len(cols)} labels")
         return cls(rows, cols, np.array(cells).reshape(len(rows), len(cols)))
@@ -298,7 +299,8 @@ class ReductionReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReductionReport":
-        return cls(
+        """The report ``to_json_dict`` gave; ValueError names a value of the wrong type."""
+        report = cls(
             requirement_threshold=data["thresholds"]["requirement"],
             knob_threshold=data["thresholds"]["knob"],
             kept_requirements=tuple(data["kept_requirements"]),
@@ -312,6 +314,24 @@ class ReductionReport:
             rejected_knobs=tuple(KnobSelection(**d) for d in data["rejected_knobs"]),
             knob_coefficients=CorrelationMatrix.from_json_dict(data["knob_coefficients"]),
         )
+        require_number("requirement threshold", report.requirement_threshold)
+        require_number("knob threshold", report.knob_threshold)
+        removals = report.removed_requirements + report.removed_monitors
+        knobs = report.selected_knobs + report.rejected_knobs
+        matches = (*report.requirement_to_monitor.values(), *knobs)
+        for value in (*(m.coefficient for m in matches),
+                      *(v for r in removals for v in (r.coefficient, r.removed_sum, r.partner_sum)
+                        if v is not None)):
+            require_number("coefficient", value, FINITE)
+        table = report.knob_coefficients
+        names = [*report.kept_requirements, *report.kept_monitors,
+                 *(m.monitor for m in matches), *(k.knob for k in knobs),
+                 *(r.removed for r in removals),
+                 *(r.partner for r in removals if r.partner is not None),
+                 *table.row_labels, *table.col_labels]
+        if bad := [name for name in names if not isinstance(name, str)]:
+            raise ValueError(f"a name must be a string, got {bad[0]!r}")
+        return report
 
 
 def reduce(

@@ -34,15 +34,24 @@ log = logging.getLogger(__name__)
 HIGHER_IS_BETTER = frozenset({"ipc", "server_mtbf_h", "system_mtbf_h", "availability"})
 
 
+def _overshoots(requirements: np.ndarray, spec: RequirementSpec) -> np.ndarray:
+    """Each threshold's relative overshoot for one row or many ([..., 5] -> [..., 4]).
+
+    A row meets a threshold exactly when its overshoot is at most 0: for
+    a finite threshold m > 0, ``(p - m) / m <= 0`` holds just when ``p <= m``.
+    """
+    performance, power, energy, availability, _ = requirements.T
+    return np.stack([
+        (performance - spec.performance_max_s) / spec.performance_max_s,
+        (power - spec.power_max_w) / spec.power_max_w,
+        (energy - spec.energy_max_j) / spec.energy_max_j,
+        (spec.availability_min - availability) / spec.availability_min,
+    ], axis=-1)
+
+
 def _meets(requirements: np.ndarray, spec: RequirementSpec):
     """The feasibility rule over requirement values, one row or many ([..., 5])."""
-    performance, power, energy, availability, _ = requirements.T
-    return (
-        (performance <= spec.performance_max)
-        & (power <= spec.power_max)
-        & (energy <= spec.energy_max)
-        & (availability >= spec.availability_min)
-    )
+    return (_overshoots(requirements, spec) <= 0.0).all(axis=-1)
 
 
 def is_feasible(requirements, spec: RequirementSpec) -> bool:
@@ -151,13 +160,7 @@ def _feasible_order(
     """
     feasible = indices[feasible_rows(dataset, spec)[indices]]
     if not feasible.size:
-        performance, power, energy, availability, _ = dataset.requirements[indices].T
-        violation = np.maximum(0.0, np.max([
-            (performance - spec.performance_max) / spec.performance_max,
-            (power - spec.power_max) / spec.power_max,
-            (energy - spec.energy_max) / spec.energy_max,
-            (spec.availability_min - availability) / spec.availability_min,
-        ], axis=0))
+        violation = np.maximum(0.0, _overshoots(dataset.requirements[indices], spec).max(axis=-1))
         least = int(indices[np.argmin(violation)])
         closest = " ".join(f"{k}={v}" for k, v in
                            row_json_dict(dataset, least)["configuration"].items())

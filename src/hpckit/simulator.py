@@ -23,14 +23,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import require_int
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, require_int, require_number
 from .sweep import (
     Configuration,
     KnobSpace,
@@ -53,14 +52,9 @@ class WorkloadParams:
 
     def __post_init__(self):
         for name in ("mc_iterations", "servers", "cores_per_server"):
-            require_int(name, getattr(self, name))
-        if self.mc_iterations < 1:
-            raise ValueError("mc_iterations must be at least 1")
+            require_int(name, getattr(self, name), 1)
         for name in ("deadline_s", "base_seconds", "result_processing_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.servers < 1 or self.cores_per_server < 1:
-            raise ValueError("servers and cores_per_server must be positive")
+            require_number(name, getattr(self, name), POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,10 @@ class LevelEffect:
     fit: float = 1.0
     peak_surcharge_w: float = 0.0
 
-
-# every factor but the additive watt terms
-_LEVEL_FACTORS = tuple(f.name for f in fields(LevelEffect) if not f.name.endswith("_w"))
+    def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name),
+                           NON_NEGATIVE if f.name.endswith("_w") else POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,8 @@ class NoiseParams:
     fit: float = 0.10
 
     def __post_init__(self):
-        for f in ("time", "cpu_power", "dram_power", "peak_margin",
-                  "temperature_c", "ipc", "mpki", "fit"):
-            if not 0 <= getattr(self, f) < math.inf:
-                raise ValueError(f"noise level {f} must be non-negative and finite")
+        for f in fields(self):
+            require_number(f"noise level {f.name}", getattr(self, f.name), NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -133,31 +126,21 @@ class KnobEffects:
     levels: dict = field(default_factory=dict)  # knob name -> level label -> LevelEffect
 
     def __post_init__(self):
-        for name in ("reference_frequency_ghz", "cpu_power_base_w", "ipc_per_core",
-                     "mpki_base", "base_fit", "temperature_per_watt"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("dram_background_w", "dram_activity_w", "peak_margin_w"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        for name in ("cpu_power_exponent", "temperature_ambient_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not isinstance(self.frequency_knob, str):
+            raise ValueError(f"frequency_knob must be a string, got {self.frequency_knob!r}")
+        for names, rule in (
+            (("reference_frequency_ghz", "cpu_power_base_w", "ipc_per_core",
+              "mpki_base", "base_fit", "temperature_per_watt"), POSITIVE),
+            (("dram_background_w", "dram_activity_w", "peak_margin_w"), NON_NEGATIVE),
+            (("cpu_power_exponent", "temperature_ambient_c"), FINITE),
+        ):
+            for name in names:
+                require_number(name, getattr(self, name), rule)
         for knob_name, table in self.levels.items():
             for label, eff in table.items():
                 if not isinstance(eff, LevelEffect):
                     raise ValueError(
                         f"effect for {knob_name}/{label} must be a LevelEffect"
-                    )
-                bad = next((f for f in _LEVEL_FACTORS if not 0 < getattr(eff, f) < math.inf), None)
-                if bad:
-                    raise ValueError(
-                        f"effect for {knob_name}/{label}: {bad} must be positive and finite")
-                if not (0 <= eff.dram_background_w < math.inf
-                        and 0 <= eff.peak_surcharge_w < math.inf):
-                    raise ValueError(
-                        f"effect for {knob_name}/{label}: additive watt terms "
-                        "must be non-negative and finite"
                     )
 
 
@@ -198,7 +181,7 @@ def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffec
     for knob, idx in zip(space.knobs, config.levels):
         level = knob.levels[idx]
         if knob.name == frequency_knob and level.value is not None:
-            frequency = float(level.value)
+            frequency = level.value
         table = tables.get(knob.name)
         if table is None or (eff := table.get(level.label)) is None:
             continue
@@ -293,13 +276,11 @@ class FaultModel:
     repair_intervals: int = 2
 
     def __post_init__(self):
-        require_int("repair_intervals", self.repair_intervals)
-        if self.probability is not None and not 0.0 <= self.probability < 1.0:
+        p = self.probability
+        if p is not None and not 0.0 <= require_number("probability", p) < 1.0:
             raise ValueError("probability must lie in [0, 1)")
-        if not 0 <= self.probability_scale < math.inf:
-            raise ValueError("probability_scale must be non-negative and finite")
-        if self.repair_intervals < 0:
-            raise ValueError("repair_intervals must be non-negative")
+        require_number("probability_scale", self.probability_scale, NON_NEGATIVE)
+        require_int("repair_intervals", self.repair_intervals, 0)
 
     def per_interval_probability(self, fit: float, interval_hours: float) -> float:
         if self.probability is not None:
@@ -318,10 +299,6 @@ class SimulationResult:
     monitors: tuple[float, ...]  # in MONITOR_NAMES order
     intervals: tuple[IntervalRecord, ...]
     successes: int  # intervals that count for availability: no deadline miss after a fault
-
-    @property
-    def success_fraction(self) -> float:
-        return self.successes / len(self.intervals)
 
 
 def _trimmed(values: list[float]) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, IngestionError
+from .errors import FINITE, DegenerateSeriesError, IngestionError, require_int, require_number
 
 # Canonical monitor order: (csv column name, short name in check messages).
 MONITOR_FIELDS: tuple[tuple[str, str], ...] = (
@@ -56,17 +56,13 @@ _NON_NEGATIVE_REQUIREMENTS = ("performance", "power", "energy", "cost")
 _FLOAT_FMT = ".12g"
 
 
-def render_value(x: float) -> str:
-    """Render a numeric field the way the CSV writer does."""
-    return format(float(x), _FLOAT_FMT)
-
-
 @dataclass(frozen=True)
 class KnobLevel:
     """One selectable setting of a knob.
 
     ``value`` carries the physical magnitude when the level has one
-    (e.g. a frequency in GHz); purely categorical levels leave it None.
+    (e.g. a frequency in GHz), stored as a float; purely categorical
+    levels leave it None.
     """
 
     label: str
@@ -75,8 +71,9 @@ class KnobLevel:
     def __post_init__(self):
         if not self.label:
             raise ValueError("knob level label must be non-empty")
-        if self.value is not None and not math.isfinite(self.value):
-            raise ValueError(f"knob level {self.label!r}: value must be finite, got {self.value!r}")
+        if self.value is not None:
+            value = require_number(f"knob level {self.label!r}: value", self.value, FINITE)
+            object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,7 @@ class KnobDef:
         labels = [lv.label for lv in self.levels]
         if len(set(labels)) != len(labels):
             raise ValueError(f"knob {self.name!r} has duplicate level labels")
+        require_int(f"knob {self.name!r} baseline", self.baseline)
         if not 0 <= self.baseline < len(self.levels):
             raise ValueError(f"knob {self.name!r} baseline index out of range")
         values = [lv.value for lv in self.levels]
@@ -115,7 +113,7 @@ class KnobDef:
     def numeric_value(self, index: int) -> float:
         """Numeric encoding of a level: physical value if present, else the index."""
         lv = self.levels[index]
-        return float(lv.value) if lv.value is not None else float(index)
+        return lv.value if lv.value is not None else float(index)
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,8 @@ class KnobSpace:
         try:
             knobs = []
             for kd in data["knobs"]:
-                levels = tuple(
-                    KnobLevel(str(lv["label"]), float(lv["value"]) if "value" in lv else None)
-                    for lv in kd["levels"]
-                )
-                knobs.append(KnobDef(str(kd["name"]), levels, int(kd.get("baseline", 0))))
+                levels = tuple(KnobLevel(str(lv["label"]), lv.get("value")) for lv in kd["levels"])
+                knobs.append(KnobDef(str(kd["name"]), levels, kd.get("baseline", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad knob space description: {exc}") from exc
         return cls(tuple(knobs))
@@ -353,10 +348,6 @@ class SweepDataset:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self) == self.space.size()
 
     @property
     def is_derived(self) -> bool:

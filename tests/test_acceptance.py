@@ -253,9 +253,9 @@ def test_criterion_07_energy_pruned_when_proportional_to_performance():
 
 def test_criterion_08_perfect_proxies_give_zero_gap():
     spec = RequirementSpec(
-        performance_max=1e6,
-        power_max=1e6,
-        energy_max=1e12,
+        performance_max_s=1e6,
+        power_max_w=1e6,
+        energy_max_j=1e12,
         availability_min=1e-6,
     )
     ds = proxy_dataset(spec)

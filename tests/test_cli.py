@@ -1,5 +1,6 @@
 """End-to-end command line behavior: pipeline, config, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from hpckit import cli, search
+from hpckit.metrics import AvailabilityModel, CostModel, RequirementSpec
+from hpckit.simulator import FaultModel, KnobEffects, LevelEffect, NoiseParams, WorkloadParams
 from hpckit.sweep import REQUIREMENT_NAMES
 
 
@@ -281,6 +284,39 @@ def test_bad_reduction_artifact_exits_one(tmp_path, capsys, corrupt, message):
     assert not (tmp_path / "v.json").exists()
 
 
+def _non_numeric_threshold(data: dict) -> None:
+    data["thresholds"]["requirement"] = "x"
+
+
+def _non_numeric_coefficient(data: dict) -> None:
+    data["selected_knobs"][0]["coefficient"] = "abc"
+
+
+def _non_string_monitor(data: dict) -> None:
+    data["selected_knobs"][0]["monitor"] = 5
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_non_numeric_threshold, "requirement threshold must be a number, got 'x'"),
+    (_non_numeric_coefficient, "coefficient must be a number, got 'abc'"),
+    (_non_string_monitor, "a name must be a string, got 5"),
+])
+def test_reduction_artifact_values_of_the_wrong_type_exit_one(tmp_path, capsys, corrupt, message):
+    paths = run_pipeline(tmp_path)
+    data = json.loads(paths["reduction"].read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (["validate", "--dataset", paths["derived"], "--reduction", bad,
+                  "--out", tmp_path / "v.json", "--table", tmp_path / "t.txt"],
+                 ["report", "--reduction", bad, "--out", tmp_path / "r.txt"]):
+        assert run(*argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert f"--reduction {bad}: not a reduction artifact: {message}" in err, err
+    assert not (tmp_path / "v.json").exists() and not (tmp_path / "r.txt").exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
@@ -392,14 +428,9 @@ def test_config_keys_land_in_their_fields(tmp_path, monkeypatch):
         assert effects["levels"]["SMT"]["Enable"][key] == value, key
     for stage in ("derive", "search", "validate"):
         assert config[stage]["metrics"] == README_CONFIG["metrics"], stage
-    # metrics keys whose model field has another name
-    renamed = {"mttr_h": "server_mttr", "infra_price": "infrastructure_price",
-               "energy_price_per_j": "energy_price", "performance_max_s": "performance_max",
-               "power_max_w": "power_max", "energy_max_j": "energy_max"}
     models = cli.build_metrics(README_CONFIG)
     for key, value in README_CONFIG["metrics"].items():
-        field = renamed.get(key, key)
-        assert [getattr(m, field) for m in models if hasattr(m, field)] == [value], key
+        assert [getattr(m, key) for m in models if hasattr(m, key)] == [value], key
     analysis = README_CONFIG["analysis"]
     assert config["reduce"]["analysis"] == {k: analysis[k] for k in ("req_threshold",
                                                                      "knob_threshold")}
@@ -491,7 +522,7 @@ def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, ke
 @pytest.mark.parametrize("config, message", [
     ({"workload": {"deadline_s": math.nan}}, "deadline_s must be positive"),
     ({"metrics": {"server_price": math.nan}}, "server_price must be non-negative"),
-    ({"metrics": {"mttr_h": math.nan}}, "server_mttr must be positive"),
+    ({"metrics": {"mttr_h": math.nan}}, "mttr_h must be positive"),
     ({"effects": {"cpu_power_base_w": math.nan}}, "cpu_power_base_w must be positive"),
     ({"effects": {"dram_background_w": -20.0}}, "dram_background_w must be non-negative"),
     ({"effects": {"dram_activity_w": math.nan}}, "dram_activity_w must be non-negative"),
@@ -502,10 +533,10 @@ def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, ke
     ({"effects": {"fault": {"probability_scale": math.nan}}},
      "probability_scale must be non-negative"),
     ({"effects": {"levels": {"SMT": {"Enable": {"peak_surcharge_w": math.nan}}}}},
-     "additive watt terms must be non-negative"),
+     "peak_surcharge_w must be non-negative"),
     ({"workload": {"base_seconds": math.inf}}, "base_seconds must be positive and finite"),
     ({"metrics": {"server_price": math.inf}}, "server_price must be non-negative and finite"),
-    ({"metrics": {"mttr_h": math.inf}}, "server_mttr must be positive and finite"),
+    ({"metrics": {"mttr_h": math.inf}}, "mttr_h must be positive and finite"),
     ({"effects": {"cpu_power_base_w": math.inf}}, "cpu_power_base_w must be positive and finite"),
     ({"effects": {"dram_activity_w": math.inf}}, "dram_activity_w must be non-negative and finite"),
     ({"effects": {"noise": {"time": math.inf}}}, "noise level time must be non-negative and finite"),
@@ -514,7 +545,7 @@ def test_non_integer_for_an_integer_field_exits_one(tmp_path, capsys, config, ke
     ({"effects": {"levels": {"SMT": {"Enable": {"throughput": math.inf}}}}},
      "throughput must be positive and finite"),
     ({"effects": {"levels": {"SMT": {"Enable": {"dram_background_w": math.inf}}}}},
-     "additive watt terms must be non-negative and finite"),
+     "dram_background_w must be non-negative and finite"),
 ])
 def test_nan_or_negative_config_scalar_exits_one(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"
@@ -549,6 +580,67 @@ def test_bad_analysis_value_exits_one(tmp_path, capsys, analysis, message):
     assert not out.exists()
 
 
+def test_all_zero_weights_exit_one_in_every_subcommand(tmp_path, capsys):
+    paths = run_pipeline(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    search_argv = ["search", "--dataset", paths["derived"], "--out", tmp_path / "s.json",
+                   "--leaderboard", tmp_path / "l.txt"]
+    # an omitted weight counts as its default, 1.0
+    cfg.write_text(json.dumps({"analysis": {"weights": dict.fromkeys(REQUIREMENT_NAMES[:4], 0)}}))
+    assert run("--config", cfg, *search_argv) == 0
+    cfg.write_text(json.dumps({"analysis": {"weights": dict.fromkeys(REQUIREMENT_NAMES, 0.0)}}))
+    capsys.readouterr()
+    for argv in (["simulate", "--out", tmp_path / "sweep2.csv"],
+                 ["reduce", "--dataset", paths["derived"], "--out", tmp_path / "r.json",
+                  "--coefficients", tmp_path / "c.csv"],
+                 search_argv):
+        assert run("--config", cfg, *argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert "config section 'analysis': every weight is zero" in err, err
+
+
+# Every config model, with the config that sets one of its keys and the
+# section path its error messages name.
+CONFIG_MODELS = (
+    (WorkloadParams, lambda kv: {"workload": kv}, "config section 'workload'"),
+    (KnobEffects, lambda kv: {"effects": kv}, "config section 'effects'"),
+    (NoiseParams, lambda kv: {"effects": {"noise": kv}}, "config section 'effects'.noise"),
+    (FaultModel, lambda kv: {"effects": {"fault": kv}}, "config section 'effects'.fault"),
+    (LevelEffect, lambda kv: {"effects": {"levels": {"SMT": {"Enable": kv}}}},
+     "config section 'effects'.levels[SMT][Enable]"),
+    (AvailabilityModel, lambda kv: {"metrics": kv}, "config section 'metrics'"),
+    (CostModel, lambda kv: {"metrics": kv}, "config section 'metrics'"),
+    (RequirementSpec, lambda kv: {"metrics": kv}, "config section 'metrics'"),
+)
+NUMERIC_FIELDS = [pytest.param(nest, where, f.name, id=f"{model.__name__}.{f.name}")
+                  for model, nest, where in CONFIG_MODELS for f in dataclasses.fields(model)
+                  if f.default is None or type(f.default) in (int, float)]
+
+
+@pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+@pytest.mark.parametrize("nest, where, key", NUMERIC_FIELDS)
+def test_numeric_config_field_takes_only_a_number(tmp_path, capsys, nest, where, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(nest({key: value})))
+    out = tmp_path / "s.csv"
+    code = run("--config", cfg, "simulate", "--out", out)
+    if (key, value) == ("probability", None):  # unset: derived from the FIT rate
+        assert code == 0
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{where}: " in err and f"{key} must be " in err, err
+    assert not out.exists()
+
+
+def test_frequency_knob_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"effects": {"frequency_knob": 5}}))
+    assert run("--config", cfg, "simulate", "--out", tmp_path / "s.csv") == 1
+    err = capsys.readouterr().err
+    assert "config section 'effects': frequency_knob must be a string, got 5" in err, err
+
+
 def test_negative_seed_exits_one(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run("simulate", "--seed", "-1", "--out", out) == 1
@@ -567,6 +659,33 @@ def test_space_with_a_non_finite_level_value_exits_one(tmp_path, capsys, value):
     assert run("simulate", "--space", space_file, "--out", out) == 1
     err = capsys.readouterr().err
     assert f"--space {space_file}" in err and "value must be finite" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("baseline", 1.7, "knob 'DVFS' baseline must be an integer, got 1.7"),
+    ("value", True, "knob level '2.6GHz': value must be a number, got True"),
+    ("value", "2.5", "knob level '2.6GHz': value must be a number, got '2.5'"),
+])
+@pytest.mark.parametrize("source", ["--space", "config"])
+def test_space_values_are_checked_not_coerced(tmp_path, capsys, source, where, value, message):
+    space = cli.default_knob_space().to_json_dict()
+    dvfs = space["knobs"][0]
+    if where == "baseline":
+        dvfs["baseline"] = value
+    else:
+        dvfs["levels"][3]["value"] = value  # DVFS 2.6GHz
+    path = tmp_path / "in.json"
+    out = tmp_path / "s.csv"
+    if source == "--space":
+        path.write_text(json.dumps(space))
+        code, named = run("simulate", "--space", path, "--out", out), f"--space {path}"
+    else:
+        path.write_text(json.dumps({"space": space}))
+        code, named = run("--config", path, "simulate", "--out", out), "config section 'space'"
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and message in err, err
     assert not out.exists()
 
 

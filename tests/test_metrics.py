@@ -14,7 +14,6 @@ from hpckit.metrics import (
     derive_dataset,
     derive_energy,
     derive_power,
-    fit_to_mtbf,
     min_servers,
     server_availability,
     system_availability,
@@ -48,20 +47,6 @@ def test_power_is_cpu_plus_dram():
     assert derive_power(70.0, 11.0) == 81.0
     assert derive_power(0.0, 0.0) == 0.0
     assert derive_power(64.2, 9.3) == 73.5
-
-
-# ------------------------------------------------------------------ FIT/MTBF
-
-
-def test_fit_to_mtbf_examples():
-    assert fit_to_mtbf(1000.0) == 1e6
-    assert fit_to_mtbf(1e9) == 1.0
-    assert fit_to_mtbf(4000.0) == 250000.0
-
-
-def test_fit_to_mtbf_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        fit_to_mtbf(0.0)
 
 
 # ------------------------------------------------------- server availability
@@ -204,8 +189,8 @@ def test_min_servers_result_meets_target_and_is_minimal(required, a, target):
 
 
 def test_cost_zero_energy_zero_maintenance():
-    model = CostModel(server_price=2000.0, infrastructure_price=500.0,
-                      energy_price=1e-6, maintenance_rate=0.0)
+    model = CostModel(server_price=2000.0, infra_price=500.0,
+                      energy_price_per_j=1e-6, maintenance_rate=0.0)
     cost = derive_cost(2, 0.0, model)
     assert cost.capex == 5000.0
     assert cost.opex == 0.0
@@ -213,14 +198,14 @@ def test_cost_zero_energy_zero_maintenance():
 
 
 def test_capex_is_linear_in_servers():
-    model = CostModel(server_price=2000.0, infrastructure_price=500.0,
-                      energy_price=1e-6, maintenance_rate=0.01)
+    model = CostModel(server_price=2000.0, infra_price=500.0,
+                      energy_price_per_j=1e-6, maintenance_rate=0.01)
     assert derive_cost(3, 100.0, model).capex / derive_cost(2, 100.0, model).capex == 1.5
 
 
 def test_opex_plug_in_example():
-    model = CostModel(server_price=2000.0, infrastructure_price=500.0,
-                      energy_price=1e-6, maintenance_rate=0.01)
+    model = CostModel(server_price=2000.0, infra_price=500.0,
+                      energy_price_per_j=1e-6, maintenance_rate=0.01)
     cost = derive_cost(2, 48600.0, model)
     assert math.isclose(cost.opex, 50.0972, rel_tol=1e-12)
 
@@ -238,10 +223,10 @@ def test_cost_rejects_bad_inputs():
 
 def _models():
     return (
-        AvailabilityModel(server_mttr=24.0, required_servers=2,
+        AvailabilityModel(mttr_h=24.0, required_servers=2,
                           availability_target=0.99, max_servers=16),
-        CostModel(server_price=2000.0, infrastructure_price=500.0,
-                  energy_price=1e-6, maintenance_rate=0.01),
+        CostModel(server_price=2000.0, infra_price=500.0,
+                  energy_price_per_j=1e-6, maintenance_rate=0.01),
     )
 
 
@@ -274,7 +259,7 @@ def test_derive_requirements_no_overprovisioning_branch():
 
 def test_derive_requirements_binomial_branch():
     avail, cost_model = _models()
-    mtbf = fit_to_mtbf(4000.0)
+    mtbf = 1e9 / 4000.0  # a FIT rate of 4000 failures per 1e9 hours
     assert mtbf == 250000.0
     mon = monitor_vector(server_mtbf=mtbf)
     req, updated = derive_requirements(mon, avail, cost_model)
@@ -344,7 +329,7 @@ def test_derived_availability_meets_target_when_reachable(mtbf):
 
 def test_availability_model_validation():
     with pytest.raises(ValueError):
-        AvailabilityModel(server_mttr=0.0)
+        AvailabilityModel(mttr_h=0.0)
     with pytest.raises(ValueError):
         AvailabilityModel(required_servers=0)
     with pytest.raises(ValueError):

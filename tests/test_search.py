@@ -45,12 +45,12 @@ from util import (
 )
 
 TABLE_SPEC = RequirementSpec(
-    performance_max=600.0, power_max=81.0, energy_max=48600.0,
+    performance_max_s=600.0, power_max_w=81.0, energy_max_j=48600.0,
     availability_min=0.99, min_mc_iterations=10000,
 )
 
 WIDE_OPEN = RequirementSpec(
-    performance_max=1e12, power_max=1e12, energy_max=1e30,
+    performance_max_s=1e12, power_max_w=1e12, energy_max_j=1e30,
     availability_min=1e-9, min_mc_iterations=10000,
 )
 
@@ -100,6 +100,24 @@ def test_each_threshold_is_checked():
     assert not is_feasible(_row(100.0, 82.0, 0.99), TABLE_SPEC)       # power
     assert not is_feasible(_row(600.0, 81.0, 0.98), TABLE_SPEC)       # availability
     assert not is_feasible(_row(599.99, 81.001, 0.99), TABLE_SPEC)    # power again
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e308), st.integers(-2, 2),
+       st.floats(min_value=1e-9, max_value=1.0 - 1e-9), st.integers(-2, 2))
+def test_feasibility_is_the_plain_comparison_a_few_floats_from_a_threshold(
+        limit, k, floor, j):
+    spec = RequirementSpec(performance_max_s=limit, availability_min=floor)
+    performance, availability = _ulps(limit, k), _ulps(floor, j)
+    row = [performance, 1.0, 1.0, availability, 0.0]
+    assert is_feasible(row, spec) == (performance <= limit and availability >= floor)
 
 
 # -------------------------------------------------------------------- scoring
@@ -299,9 +317,9 @@ def test_oracle_matches_independent_brute_force(derived_dataset):
             scores[i] += 0.2 * directions[name] * zz[i]
 
     def feasible(q):
-        return (q.performance <= spec.performance_max
-                and q.power <= spec.power_max
-                and q.energy <= spec.energy_max
+        return (q.performance <= spec.performance_max_s
+                and q.power <= spec.power_max_w
+                and q.energy <= spec.energy_max_j
                 and q.availability >= spec.availability_min)
 
     candidates = [i for i, r in enumerate(rows) if feasible(r)]

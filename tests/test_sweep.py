@@ -38,7 +38,6 @@ from hpckit.sweep import (
     enumeration_rank,
     export_csv_string,
     ingest_csv,
-    render_value,
     zscore,
 )
 
@@ -280,7 +279,7 @@ def _assert_same_dataset(a, b):
 def test_round_trip_of_simulated_sweep(raw_dataset):
     text = export_csv_string(raw_dataset)
     back = ingest_csv(io.StringIO(text), raw_dataset.space)
-    assert back.is_complete and len(back) == 128
+    assert len(back) == back.space.size() == 128
     _assert_same_dataset(raw_dataset, back)
     # after one rendering pass the decimal form is a fixed point
     assert export_csv_string(back) == text
@@ -368,7 +367,8 @@ def test_round_trip_of_random_datasets(ds):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False, width=64))
 def test_rendered_values_parse_back_within_12_digits(x):
-    assert math.isclose(float(render_value(x)), x, rel_tol=1e-11, abs_tol=1e-11)
+    # the CSV writer renders every number as format(x, '.12g')
+    assert math.isclose(float(format(x, ".12g")), x, rel_tol=1e-11, abs_tol=1e-11)
 
 
 # ------------------------------------------------------------ column checks
