@@ -314,8 +314,9 @@ class ReductionReport:
             rejected_knobs=tuple(KnobSelection(**d) for d in data["rejected_knobs"]),
             knob_coefficients=CorrelationMatrix.from_json_dict(data["knob_coefficients"]),
         )
-        require_number("requirement threshold", report.requirement_threshold)
-        require_number("knob threshold", report.knob_threshold)
+        for kind in ("requirement", "knob"):
+            threshold = getattr(report, f"{kind}_threshold")
+            _check_threshold(require_number(f"{kind} threshold", threshold), kind)
         removals = report.removed_requirements + report.removed_monitors
         knobs = report.selected_knobs + report.rejected_knobs
         matches = (*report.requirement_to_monitor.values(), *knobs)

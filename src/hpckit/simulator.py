@@ -21,9 +21,11 @@ fault-free interval times.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import operator
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -331,6 +333,94 @@ def _seed(seed) -> int:
     return value
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_STREAM_BLOCK = 1024  # ranks hashed together by _stream_words
+
+
+def _hash_constants(const: int, mult: int):
+    """The (current, next) hash constant pairs SeedSequence steps through, mod 2**32."""
+    while True:
+        step = const * mult & 0xFFFFFFFF
+        yield const, step
+        const = step
+
+
+def _hash(value: np.ndarray, constants) -> np.ndarray:
+    """One SeedSequence hash round on a uint32 column: xor, multiply, fold the high half down."""
+    const, step = next(constants)
+    value = (value ^ const) * step
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=1)
+def _stream_words(seed: int, block: int) -> np.ndarray:
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for the ranks ``r``
+    of ``block``, as one read-only ``[1024, 4]`` array; ``seed`` and every rank
+    must lie below 2**32, so each is one entropy word.
+
+    This is SeedSequence's hash for 2-word entropy, run on uint32 columns of
+    1024 ranks, where uint32 arithmetic wraps mod 2**32 as the C code does:
+    hashmix each word of the 4-word pool (seed, rank, 0, 0), mix every pool
+    word into every other, then hash the pool cyclically into 8 output words.
+    """
+    pool = np.zeros((4, _STREAM_BLOCK), np.uint32)
+    pool[0] = seed
+    pool[1] = np.arange(block * _STREAM_BLOCK, (block + 1) * _STREAM_BLOCK, dtype=np.uint32)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, constants) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - _hash(pool[src], constants) * _MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> 16
+    # Output word 2k is the low half of uint64 k. It comes first in memory on
+    # a little-endian host and second on a big-endian one, which is what
+    # generate_state's little-endian view gives.
+    swap = int(sys.byteorder == "big")
+    words = np.empty((_STREAM_BLOCK, 8), np.uint32)
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    for i in range(8):
+        words[:, i ^ swap] = _hash(pool[i % 4], constants)
+    block_words = words.view(np.uint64)
+    block_words.flags.writeable = False
+    return block_words
+
+
+@functools.cache
+def _rank_seed_type() -> type:
+    """The seed sequence that hands PCG64 one rank's row of ``_stream_words``.
+
+    Built on first use: subclassing ``ISeedSequence`` loads ``numpy.random``,
+    which importing this module does not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RankSeed(ISeedSequence):
+        def __init__(self, seed: int, rank: int, words: np.ndarray):
+            self.seed, self.rank, self.words = seed, rank, words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and np.dtype(dtype) == np.uint64:
+                return self.words
+            return np.random.SeedSequence([self.seed, self.rank]).generate_state(n_words, dtype)
+
+    return RankSeed
+
+
+def _stream(seed: int, rank: int):
+    """The generator of configuration ``rank``: the stream ``default_rng([seed, rank])`` gives."""
+    random = np.random
+    if seed >> 32 or rank >> 32:  # more than one entropy word: not what _stream_words hashes
+        seq = random.SeedSequence([seed, rank])
+    else:
+        block, row = divmod(rank, _STREAM_BLOCK)
+        seq = _rank_seed_type()(seed, rank, _stream_words(seed, block)[row])
+    return random.Generator(random.PCG64(seq))
+
+
 def _noisy(scale: float, sigma: float, z: list[float]) -> list[float]:
     """``scale`` times the noise factors ``1 + sigma*z``, each floored at 0.05 to stay positive."""
     return [scale * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z]
@@ -404,7 +494,7 @@ def simulate_config_detailed(
         raise ValueError("n_intervals must be at least 5 for a trimmed mean")
     rank = enumeration_rank(space, config)  # also checks config against space
     eff = _combine_effects(space, config, effects)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, rank])))
+    rng = _stream(seed, rank)
     noise, n, servers = effects.noise, n_intervals, params.servers
 
     # Generator.normal(loc, s) is loc + s*z on the same standard normal z,

@@ -56,6 +56,11 @@ _NON_NEGATIVE_REQUIREMENTS = ("performance", "power", "energy", "cost")
 _FLOAT_FMT = ".12g"
 
 
+def _require_name(what: str, value) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KnobLevel:
     """One selectable setting of a knob.
@@ -69,8 +74,7 @@ class KnobLevel:
     value: float | None = None
 
     def __post_init__(self):
-        if not self.label:
-            raise ValueError("knob level label must be non-empty")
+        _require_name("knob level label", self.label)
         if self.value is not None:
             value = require_number(f"knob level {self.label!r}: value", self.value, FINITE)
             object.__setattr__(self, "value", value)
@@ -85,8 +89,7 @@ class KnobDef:
     baseline: int
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("knob name must be non-empty")
+        _require_name("knob name", self.name)
         if len(self.levels) < 2:
             raise ValueError(f"knob {self.name!r} needs at least 2 levels")
         labels = [lv.label for lv in self.levels]
@@ -181,8 +184,8 @@ class KnobSpace:
         try:
             knobs = []
             for kd in data["knobs"]:
-                levels = tuple(KnobLevel(str(lv["label"]), lv.get("value")) for lv in kd["levels"])
-                knobs.append(KnobDef(str(kd["name"]), levels, kd.get("baseline", 0)))
+                levels = tuple(KnobLevel(lv["label"], lv.get("value")) for lv in kd["levels"])
+                knobs.append(KnobDef(kd["name"], levels, kd.get("baseline", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad knob space description: {exc}") from exc
         return cls(tuple(knobs))

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -288,6 +290,10 @@ def _non_numeric_threshold(data: dict) -> None:
     data["thresholds"]["requirement"] = "x"
 
 
+def _threshold_out_of_range(data: dict) -> None:
+    data["thresholds"]["requirement"] = 7.5
+
+
 def _non_numeric_coefficient(data: dict) -> None:
     data["selected_knobs"][0]["coefficient"] = "abc"
 
@@ -298,6 +304,7 @@ def _non_string_monitor(data: dict) -> None:
 
 @pytest.mark.parametrize("corrupt, message", [
     (_non_numeric_threshold, "requirement threshold must be a number, got 'x'"),
+    (_threshold_out_of_range, "requirement threshold must lie in (0, 1], got 7.5"),
     (_non_numeric_coefficient, "coefficient must be a number, got 'abc'"),
     (_non_string_monitor, "a name must be a string, got 5"),
 ])
@@ -315,6 +322,18 @@ def test_reduction_artifact_values_of_the_wrong_type_exit_one(tmp_path, capsys, 
         err = capsys.readouterr().err
         assert f"--reduction {bad}: not a reduction artifact: {message}" in err, err
     assert not (tmp_path / "v.json").exists() and not (tmp_path / "r.txt").exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # Only simulating needs numpy.random, and loading it costs every cold
+    # subcommand. numpy 1.x loads it with numpy itself, so compare with that.
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import hpckit.cli; print(before, 'numpy.random' in sys.modules)")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=60)
+    before, after = done.stdout.split()
+    assert after == before, done.stdout
 
 
 def test_version_flag():
@@ -666,15 +685,18 @@ def test_space_with_a_non_finite_level_value_exits_one(tmp_path, capsys, value):
     ("baseline", 1.7, "knob 'DVFS' baseline must be an integer, got 1.7"),
     ("value", True, "knob level '2.6GHz': value must be a number, got True"),
     ("value", "2.5", "knob level '2.6GHz': value must be a number, got '2.5'"),
+    ("name", None, "knob name must be a non-empty string, got None"),
+    ("label", 1, "knob level label must be a non-empty string, got 1"),
+    ("label", True, "knob level label must be a non-empty string, got True"),
 ])
 @pytest.mark.parametrize("source", ["--space", "config"])
 def test_space_values_are_checked_not_coerced(tmp_path, capsys, source, where, value, message):
     space = cli.default_knob_space().to_json_dict()
     dvfs = space["knobs"][0]
-    if where == "baseline":
-        dvfs["baseline"] = value
+    if where in ("baseline", "name"):
+        dvfs[where] = value
     else:
-        dvfs["levels"][3]["value"] = value  # DVFS 2.6GHz
+        dvfs["levels"][3][where] = value  # DVFS 2.6GHz
     path = tmp_path / "in.json"
     out = tmp_path / "s.csv"
     if source == "--space":

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,9 @@ from hpckit.simulator import (
     NoiseParams,
     SimulationResult,
     WorkloadParams,
+    _rank_seed_type,
+    _stream,
+    _stream_words,
     classify_fault_outcome,
     combine_effects,
     generate_sweep,
@@ -611,3 +615,62 @@ def test_simulation_matches_the_single_loop_reference(case):
             got = simulate_config_detailed(space, config, params, effects, fault, n, seed)
             want = _reference_simulation(space, config, params, effects, fault, n, seed)
             assert repr(got) == repr(want), (config, seed)
+
+
+# ---------------------------------------------------- per-configuration streams
+
+
+def _seed_sequence_state(seed, rank):
+    return np.random.PCG64(np.random.SeedSequence([seed, rank])).state
+
+
+_BLOCK_EDGE_RANKS = [0, 1, 1023, 1024, 1025, 8191]
+
+
+@pytest.mark.parametrize("seed", [0, 12, 2**31 - 2, 2**32 - 1])
+def test_stream_is_the_seed_sequence_stream(seed):
+    sampled = np.random.default_rng(seed).integers(0, 2**32, 24).tolist()
+    for rank in _BLOCK_EDGE_RANKS + [2**32 - 1024, 2**32 - 1] + sampled:
+        assert _stream(seed, rank).bit_generator.state == _seed_sequence_state(seed, rank), rank
+
+
+@pytest.mark.parametrize("seed, ranks", [
+    (2**32, _BLOCK_EDGE_RANKS),
+    (2**40, _BLOCK_EDGE_RANKS),
+    (12, [2**32, 2**40]),
+])
+def test_stream_beyond_one_entropy_word_is_the_seed_sequence_stream(seed, ranks):
+    for rank in ranks:
+        assert _stream(seed, rank).bit_generator.state == _seed_sequence_state(seed, rank), rank
+
+
+def test_interleaved_streams_match_fresh_ones():
+    for seed, rank in [(12, 5), (13, 5), (12, 2000), (12, 5), (2**32, 5), (12, 6), (13, 1024)]:
+        stream = _stream(seed, rank)
+        bulk = seed < 2**32  # and rank, here
+        assert isinstance(stream.bit_generator.seed_seq, _rank_seed_type()) == bulk
+        assert stream.bit_generator.state == _seed_sequence_state(seed, rank), (seed, rank)
+        assert stream.random(3).tolist() == np.random.default_rng([seed, rank]).random(3).tolist()
+
+
+def test_rank_seed_delegates_other_requests_to_seed_sequence():
+    seed, rank = 12, 1030
+    words = _stream_words(seed, 1)
+    assert not words.flags.writeable
+    rank_seed = _rank_seed_type()(seed, rank, words[rank - 1024])
+    reference = np.random.SeedSequence([seed, rank])
+    for n_words, dtype in [(4, np.uint64), (4, "u8"), (4, np.uint32), (8, np.uint32),
+                           (2, np.uint64), (8, np.uint64), (1, np.uint32)]:
+        got = rank_seed.generate_state(n_words, dtype)
+        want = reference.generate_state(n_words, dtype)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), (n_words, dtype)
+
+
+def test_stream_hashing_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, block in [(0, 0), (12, 3), (2**32 - 1, 0), (2**32 - 1, 2**22 - 1)]:
+            words = _stream_words.__wrapped__(seed, block)
+            for row in (0, 1023):
+                reference = np.random.SeedSequence([seed, block * 1024 + row])
+                assert words[row].tolist() == reference.generate_state(4, np.uint64).tolist()
