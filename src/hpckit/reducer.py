@@ -91,10 +91,13 @@ class CorrelationMatrix:
     @classmethod
     def build(cls, rows: Sequence[Column], cols: Sequence[Column]) -> "CorrelationMatrix":
         values = np.empty((len(rows), len(cols)))
-        centered_cols = [_centered(y) for _, y in cols]
+        centered = [_centered(y) for _, y in cols]
         for i, (_, x) in enumerate(rows):
-            cx = _centered(x)
-            values[i] = [_corr(cx, cy) for cy in centered_cols]
+            if rows is cols:  # a set against itself: each pair is correlated once
+                values[i, i:] = values[i:, i] = [_corr(centered[i], cy) for cy in centered[i:]]
+            else:
+                cx = _centered(x)
+                values[i] = [_corr(cx, cy) for cy in centered]
         return cls(tuple(n for n, _ in rows), tuple(n for n, _ in cols), values)
 
     def to_json_dict(self) -> dict:
@@ -151,16 +154,11 @@ def prune_correlated(
     if len(set(names)) != len(names):
         raise ValueError("column labels must be unique")
 
-    # Each pair is correlated once, the diagonal too: a column is
-    # zero-variance where its own coefficient is undefined. A removal
-    # deletes its row and column, keeping the live order, so every later
-    # scan sees the same matrix (and the same |r| sums) a fresh
-    # computation would give.
-    centered = [_centered(series) for _, series in columns]
-    corr = np.empty((len(columns), len(columns)))
-    for i in range(len(columns)):
-        for j in range(i, len(columns)):
-            corr[i, j] = corr[j, i] = _corr(centered[i], centered[j])
+    # The matrix is built once, the diagonal too: a column is zero-variance
+    # where its own coefficient is undefined. A removal deletes its row and
+    # column, keeping the live order, so every later scan sees the same
+    # matrix (and the same |r| sums) a fresh computation would give.
+    corr = CorrelationMatrix.build(columns, columns).values
     flat = np.isnan(corr.diagonal())
     removals: list[RemovalRecord] = []
     for name in (n for n, is_flat in zip(names, flat) if is_flat):
@@ -346,10 +344,10 @@ def reduce(
     if len(ds) < 3:
         raise ValueError("reduction needs at least 3 rows")
 
-    # Canonicalize row order so the report is bit-identical under any
-    # permutation of the input rows: summation order would otherwise
-    # leak row order into the last bits of every coefficient.
-    order = np.array(sorted(range(len(ds)), key=ds.rank.tolist().__getitem__))
+    # Canonicalize row order so the report is bit-identical under any permutation
+    # of the input rows: summation order would otherwise leak row order into the
+    # last bits of every coefficient. Stable, to share sweep's sort kernel.
+    order = np.argsort(ds.rank, kind="stable")
     req_columns = [(n, ds.requirements[order, j]) for j, n in enumerate(REQUIREMENT_NAMES)]
     mon_columns = [(n, ds.monitors[order, j]) for j, n in enumerate(MONITOR_NAMES)]
 

@@ -436,7 +436,9 @@ def _interval_log(
     records: list[IntervalRecord] = []
     fault_free_times: list[float] = []
     for i in range(len(time_noise)):
-        servers_up = down.count(0)
+        # only a server up at the start of the interval can fail in it
+        up = [s for s in range(servers) if down[s] == 0]
+        servers_up = len(up)
         down = [max(0, d - 1) for d in down]
         if servers_up == 0:
             # Whole pool offline: the interval is lost outright.
@@ -444,8 +446,8 @@ def _interval_log(
             continue
         t0 = times[servers_up] * time_noise[i]
         failures = 0
-        for s in range(servers):
-            if down[s] == 0 and next(uniforms) < p_fail:
+        for s in up:
+            if next(uniforms) < p_fail:
                 failures += 1
                 down[s] = fault_model.repair_intervals
         if failures == 0:
@@ -460,10 +462,8 @@ def _interval_log(
             # Work done before the failure stands; the rest is
             # reassigned across the surviving servers.
             finish = done * t0 + (1.0 - done) * t0 * servers_up / survivors
-        remaining = down.count(0)
-        outcome = classify_fault_outcome(
-            finish - t0, finish, params.deadline_s, remaining, servers
-        )
+        outcome = classify_fault_outcome(finish - t0, finish, params.deadline_s,
+                                         survivors, servers)
         records.append(IntervalRecord(finish, outcome, servers_up))
     return records, fault_free_times
 
@@ -485,7 +485,7 @@ def simulate_config_detailed(
     ``enumerate_configs(space)``: first 7n+1 standard normals, n each
     for cpu power, dram power, peak margin, temperature, ipc and mpki,
     one for the FIT rate and n for the interval time; then the fault
-    uniforms: per interval, one for each server not under repair and
+    uniforms: per interval, one for each server up at its start and
     one more for the failure point if a server failed.
     """
     seed = _seed(seed)

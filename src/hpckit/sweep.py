@@ -238,6 +238,14 @@ def _energy_mismatch(c):
         return ~(np.isfinite(c["product"]) & (np.abs(c["energy"] - c["product"]) <= tolerance))
 
 
+def _repeats(c):
+    """Where a row's rank equals an earlier row's rank."""
+    order = np.argsort(c["rank"], kind="stable")
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:]] = np.diff(c["rank"][order]) == 0
+    return repeat
+
+
 # The sweep's value rules in reporting order: (bad, message). ``bad`` maps
 # named columns to a mask, true where a row breaks the rule; ``message``
 # is formatted with that row's values.
@@ -261,11 +269,17 @@ _REQUIREMENT_RULES = (
       for a in _NON_NEGATIVE_REQUIREMENTS),
     (_energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
 )
+_DUPLICATE_RULE = (_repeats, "row {row}: duplicate configuration {config}")
 
 
-def _rules(space: KnobSpace, derived: bool) -> tuple:
-    """The full rule table: level signs, monitors, requirements, then level ranges."""
-    return (
+def _rules(space: KnobSpace, derived: bool, parsed: bool = False) -> tuple:
+    """The full rule table in reporting order, each message naming its row.
+
+    Rows read from a file meet their cell, duplicate and number faults
+    first; rows built in memory meet the duplicate rule last, after the
+    level range rules, which name a level that is out of range.
+    """
+    values = tuple((bad, "row {row}: " + message) for bad, message in (
         *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
           for j in range(len(space.knobs))),
         *_MONITOR_RULES,
@@ -273,28 +287,43 @@ def _rules(space: KnobSpace, derived: bool) -> tuple:
         *((lambda c, j=j, size=len(knob.levels): c["levels"][:, j] >= size,
            f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}")
           for j, knob in enumerate(space.knobs)),
-    )
+    ))
+    if not parsed:
+        return (*values, _DUPLICATE_RULE)
+    return ((lambda c: c["cells"] != "", "row {row}: {cells}"), _DUPLICATE_RULE,
+            (lambda c: c["numbers"] != "", "row {row}, column {numbers}"), *values)
 
 
 def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
-                 requirements: np.ndarray | None) -> tuple[int, str] | None:
-    """The first row that breaks a rule and the first rule it breaks, or None."""
-    c = {"levels": levels, **dict(zip(_MONITOR_ATTRS, monitors.T))}
+                 requirements: np.ndarray | None, first_row: int = 0, **faults) -> str | None:
+    """The message of the first rule broken by the first bad row, or None.
+
+    Rows are numbered from ``first_row``. For rows read from a file,
+    ``faults`` maps "cells" and "numbers" to each row's first such parse
+    fault. Each rule is applied once, to the rows before the first bad row
+    found so far.
+    """
+    # the mixed-radix enumeration rank; a level out of range is clipped
+    # here and named by its own rule
+    rank = np.ravel_multi_index(levels.T, [len(k.levels) for k in space.knobs], mode="clip")
+    c = {"levels": levels, "rank": rank, **dict(zip(_MONITOR_ATTRS, monitors.T))}
     if requirements is not None:
         c.update(zip(_REQUIREMENT_ATTRS, requirements.T))
         with np.errstate(over="ignore", invalid="ignore"):
             c["product"] = c["performance"] * c["power"]
-    rules = _rules(space, requirements is not None)
-    bad = np.zeros(len(levels), dtype=bool)
-    for fails, _ in rules:
-        bad |= fails(c)
-    if not (first := np.flatnonzero(bad)).size:
+    for kind, texts in faults.items():
+        c[kind] = np.full(len(levels), "", dtype=object)
+        c[kind][list(texts)] = list(texts.values())
+    i, message = len(levels), None
+    for bad, rule in _rules(space, requirements is not None, parsed=bool(faults)):
+        rows = bad(c)[:i]  # argmax: its first bad row, or 0 when there is none
+        if rows.size and rows[j := int(rows.argmax())]:
+            i, message = j, rule
+    if message is None:
         return None
-    i = int(first[0])
-    row = {name: column[i:i + 1] for name, column in c.items()}
-    message = next(message for fails, message in rules if fails(row)[0])
     # Python values, so a float renders as 1.0, not np.float64(1.0)
-    return i, message.format(knobs=space.names, **{n: v[0].tolist() for n, v in row.items()})
+    row = {name: column[i:i + 1].tolist()[0] for name, column in c.items()}
+    return message.format(row=i + first_row, knobs=space.names, config=tuple(row["levels"]), **row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,16 +367,11 @@ class SweepDataset:
                 arr.setflags(write=False)
                 object.__setattr__(self, what, arr)
         if fault := _first_fault(self.space, self.levels, self.monitors, self.requirements):
-            raise ValueError(f"row {fault[0]}: {fault[1]}")
-        # the mixed-radix enumeration rank
+            raise ValueError(fault)
         rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs])
-        row_of_rank = {}
-        for i, r in enumerate(rank.tolist()):
-            if row_of_rank.setdefault(r, i) != i:
-                raise ValueError(f"duplicate configuration {tuple(self.levels[i].tolist())}")
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_row_of_rank", row_of_rank)
+        object.__setattr__(self, "_row_of_rank", dict(zip(rank.tolist(), range(n))))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -482,81 +506,58 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
             raise IngestionError(f"missing column {key!r}")
     knob_cols = [col_index[f"knob:{n}"] for n in space.names]
     mon_cols = [col_index[f"mon:{n}"] for n in MONITOR_NAMES]
-    has_reqs = all(f"req:{n}" in col_index for n in REQUIREMENT_NAMES)
-    any_reqs = any(f"req:{n}" in col_index for n in REQUIREMENT_NAMES)
-    if any_reqs and not has_reqs:
-        missing = [n for n in REQUIREMENT_NAMES if f"req:{n}" not in col_index]
+    missing = [n for n in REQUIREMENT_NAMES if f"req:{n}" not in col_index]
+    if 0 < len(missing) < len(REQUIREMENT_NAMES):
         raise IngestionError(f"partial requirement columns; missing req:{missing[0]}")
-    req_cols = [col_index[f"req:{n}"] for n in REQUIREMENT_NAMES] if has_reqs else None
+    req_cols = [] if missing else [col_index[f"req:{n}"] for n in REQUIREMENT_NAMES]
 
-    codes = [{lv.label: i for i, lv in enumerate(k.levels)}.__getitem__ for k in space.knobs]
+    codes = [{lv.label: i for i, lv in enumerate(k.levels)} for k in space.knobs]
+    # each record's first parse fault, by record: a wrong cell count or an
+    # unknown label, and a cell that is not a finite number
+    cell_faults, number_faults = {}, {}
     blocks = []
-    try:  # a column at a time, in blocks of rows to bound the memory held as text;
-        # any fault sends the file to the row-wise check below
-        while records := list(itertools.islice(reader, 1024)):
-            if any(len(record) != len(header) for record in records):
-                raise ValueError("ragged row")
-            cells = list(zip(*records))
-            blocks.append((
-                np.array([list(map(code, cells[ci])) for code, ci in zip(codes, knob_cols)]).T,
-                np.array([list(map(float, cells[ci])) for ci in mon_cols + (req_cols or [])]).T,
-            ))
-        if not blocks:
-            raise IngestionError("no rows in the data section")
-        levels, numbers = (np.concatenate(part) for part in zip(*blocks))
-        return SweepDataset(space, levels, numbers[:, :len(mon_cols)],
-                            numbers[:, len(mon_cols):] if req_cols else None, metadata)
-    except (KeyError, ValueError) as exc:
-        records = csv.reader(rows_text)
-        next(records)  # the header
-        _raise_first_bad_row(space, header, records, knob_cols, mon_cols, req_cols)
-        raise IngestionError(str(exc)) from exc
-
-
-def _raise_first_bad_row(space, header, records, knob_cols, mon_cols, req_cols) -> None:
-    """Check the records in file order, raising IngestionError at the first fault.
-
-    Records are parsed one by one up to the first parse fault. The rule
-    table then checks the records before it at once, and a rule fault in
-    an earlier record is raised in its place.
-    """
-    parsed = {}  # each record's numbers by its levels, in file order
-    parse_fault = None
-    try:
-        for lineno, record in enumerate(records, start=2):
+    # a column at a time, in blocks of rows to bound the memory held as text
+    while records := list(itertools.islice(reader, 1024)):
+        first = 1024 * len(blocks)
+        for r, record in enumerate(records):
             if len(record) != len(header):
-                raise IngestionError(
-                    f"row {lineno}: expected {len(header)} cells, got {len(record)}")
-            levels = []
-            for knob, ci in zip(space.knobs, knob_cols):
-                label = record[ci]
-                try:
-                    levels.append(knob.level_index(label))
-                except KeyError:
-                    raise IngestionError(
-                        f"row {lineno}: unknown level {label!r} for knob {knob.name!r}"
-                    ) from None
-            levels = tuple(levels)
-            if levels in parsed:
-                raise IngestionError(f"row {lineno}: duplicate configuration {levels}")
-            parsed[levels] = [_parse_number(record[ci], lineno, header[ci])
-                              for ci in mon_cols + (req_cols or [])]
-    except IngestionError as exc:
-        parse_fault = exc
-    if parsed:
-        numbers = np.array(list(parsed.values()))
-        if fault := _first_fault(space, np.array(list(parsed)), numbers[:, :len(mon_cols)],
-                                 numbers[:, len(mon_cols):] if req_cols else None):
-            raise IngestionError(f"row {fault[0] + 2}: {fault[1]}")
-    if parse_fault is not None:
-        raise parse_fault
+                cell_faults[first + r] = f"expected {len(header)} cells, got {len(record)}"
+                records[r] = [""] * len(header)  # its cells' own faults rank after this one
+        cells = list(zip(*records))
+        levels = []
+        for knob, code, ci in zip(space.knobs, codes, knob_cols):
+            try:
+                levels.append(list(map(code.__getitem__, cells[ci])))
+            except KeyError:  # an unknown label stands in as level 0
+                for r, label in enumerate(cells[ci]):
+                    if label not in code:
+                        cell_faults.setdefault(
+                            first + r, f"unknown level {label!r} for knob {knob.name!r}")
+                levels.append([code.get(label, 0) for label in cells[ci]])
+        numbers = []
+        for name, texts in ((header[ci], cells[ci]) for ci in mon_cols + req_cols):
+            try:
+                column = list(map(float, texts))
+            except ValueError:  # a cell that is not a number stands in as NaN
+                column = [math.nan] * len(texts)
+                for r, text in enumerate(texts):
+                    try:
+                        column[r] = float(text)
+                    except ValueError:
+                        number_faults.setdefault(first + r, f"{name}: not a number: {text!r}")
+            column = np.array(column)
+            for r in np.flatnonzero(~np.isfinite(column)).tolist():
+                number_faults.setdefault(first + r, f"{name}: non-finite value {texts[r]!r}")
+            numbers.append(column)
+        blocks.append((np.array(levels).T, np.array(numbers).T))
+    if not blocks:
+        raise IngestionError("no rows in the data section")
 
-
-def _parse_number(text: str, lineno: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise IngestionError(f"row {lineno}, column {column}: not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise IngestionError(f"row {lineno}, column {column}: non-finite value {text!r}")
-    return value
+    levels, numbers = (np.concatenate(part) for part in zip(*blocks))
+    monitors = numbers[:, :len(mon_cols)]
+    requirements = numbers[:, len(mon_cols):] if req_cols else None
+    # records are numbered as in the file, the header being row 1
+    if fault := _first_fault(space, levels, monitors, requirements, first_row=2,
+                             cells=cell_faults, numbers=number_faults):
+        raise IngestionError(fault)
+    return SweepDataset(space, levels, monitors, requirements, metadata)

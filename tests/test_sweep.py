@@ -455,8 +455,11 @@ def test_dataset_rejects_out_of_range_levels_and_duplicates():
     mons = [list(monitor_vector())] * 4
     with pytest.raises(ValueError, match="row 2: level index 4 out of range for knob 'K0'"):
         SweepDataset(space_of(4), [(0,), (1,), (4,), (3,)], mons)
-    with pytest.raises(ValueError, match=r"duplicate configuration \(1,\)"):
+    with pytest.raises(ValueError, match=r"^row 3: duplicate configuration \(1,\)$"):
         SweepDataset(space_of(4), [(0,), (1,), (2,), (1,)], mons)
+    # level 5 ranks as level 3, row 2's, yet its range fault is named
+    with pytest.raises(ValueError, match=r"^row 3: level index 5 out of range for knob 'K0'$"):
+        SweepDataset(space_of(4), [(0,), (1,), (3,), (5,)], mons)
 
 
 # ---------------------------------------------------------- ingestion errors
@@ -515,7 +518,8 @@ def _edited_csv(text, edits):
     """``text`` with data cells replaced; rows count from 0 after the header.
 
     An edit is (row, column, value); the column "copy_of" copies the
-    whole row numbered ``value`` and "drop_last" drops the last cell.
+    whole row numbered ``value``, "drop_last" drops the last cell and
+    "append" adds the cell ``value``.
     """
     lines = text.splitlines(keepends=True)
     start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -526,6 +530,8 @@ def _edited_csv(text, edits):
             rows[row] = list(rows[value])
         elif column == "drop_last":
             rows[row] = rows[row][:-1]
+        elif column == "append":
+            rows[row] = rows[row] + [value]
         else:
             rows[row][header.index(column)] = value
     buf = io.StringIO()
@@ -568,6 +574,11 @@ REJECTIONS = [
      "row 52: unknown level '9.9GHz' for knob 'DVFS'"),
     ([(60, "mon:peak_power_w", "1"), (60, "req:availability", "2")],
      "row 62: peak_power must be at least cpu_power"),
+    ([(9, "append", "1")], "row 11: expected 22 cells, got 23"),
+    # row 40 parses as row 8's levels, yet its label fault is named
+    ([(40, "knob:DVFS", "9.9GHz")], "row 42: unknown level '9.9GHz' for knob 'DVFS'"),
+    ([(70, "copy_of", 2), (70, "mon:ipc", "x")],
+     "row 72: duplicate configuration (0, 0, 0, 0, 1, 0)"),
 ]
 
 
@@ -577,6 +588,20 @@ def test_ingest_rejection_names_the_first_bad_row(derived_dataset, edits, messag
     text = _edited_csv(export_csv_string(derived_dataset), edits)
     with pytest.raises(IngestionError) as exc:
         ingest_csv(io.StringIO(text), derived_dataset.space)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(1500, "mon:ipc", "abc")], "row 1502, column mon:ipc: not a number: 'abc'"),
+    ([(1300, "copy_of", 5)], "row 1302: duplicate configuration (0, 5)"),
+])
+def test_ingest_rejection_past_the_first_block(edits, message):
+    # 1600 rows: ingest parses records 1024 and on as a second block
+    space = space_of(40, 40)
+    ds = SweepDataset(space, [c.levels for c in enumerate_configs(space)],
+                      [monitor_vector()] * 1600)
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(io.StringIO(_edited_csv(export_csv_string(ds), edits)), space)
     assert str(exc.value) == message
 
 
