@@ -33,7 +33,8 @@ from .reducer import (
 )
 from .search import (REQUIREMENT_NAMES, RankedConfig, check_weight, rank_feasible,
                      row_json_dict, validate)
-from .simulator import DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams, generate_sweep
+from .simulator import (DEFAULT_INTERVALS, FaultModel, KnobEffects, LevelEffect, WorkloadParams,
+                        _check_intervals, _seed, generate_sweep)
 from .sweep import (
     Configuration,
     KnobSpace,
@@ -52,7 +53,9 @@ EXIT_INGESTION = 3
 _INPUT_FLAGS = ("dataset", "space", "params", "reduction", "sweep", "search", "validation")
 _OUTPUT_FLAGS = ("out", "coefficients", "leaderboard", "table")
 _CONFIG_SECTIONS = ("space", "workload", "effects", "metrics", "analysis", "baseline")
-_ANALYSIS_KEYS = ("req_threshold", "knob_threshold", "weights")
+# each analysis threshold: its config key (and, dashed, its reduce flag), kind and default
+_THRESHOLDS = (("req_threshold", "requirement", DEFAULT_REQUIREMENT_THRESHOLD),
+               ("knob_threshold", "knob", DEFAULT_KNOB_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -85,28 +88,15 @@ def _override(base, section: dict, where: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Read the JSON config; falls back to $HPCKIT_CONFIG, then to {}."""
+    """The JSON config, its section names checked; falls back to $HPCKIT_CONFIG, then to {}."""
     source = "--config"
     if path is None:
-        path = os.environ.get("HPCKIT_CONFIG")
-        source = "HPCKIT_CONFIG"
+        path, source = os.environ.get("HPCKIT_CONFIG"), "HPCKIT_CONFIG"
         if not path:
             return {}
     data = _read_json(path, source)
     _check_keys(data, _CONFIG_SECTIONS, f"config file {path}")
-    _validate_config(data)
     return data
-
-
-def _validate_config(cfg: dict) -> None:
-    # validate every section up front, even those the current subcommand
-    # will not consume, so a broken config fails the same way everywhere;
-    # ``main`` checks the baseline against the space the run resolves
-    build_space(cfg)
-    build_workload(cfg)
-    build_effects(cfg)
-    build_metrics(cfg)
-    build_analysis(cfg)
 
 
 def build_space(cfg: dict) -> KnobSpace:
@@ -148,19 +138,19 @@ def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementS
                  for m, n in zip(models, names))
 
 
-def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
+def build_analysis(cfg: dict) -> dict:
+    """The analysis settings: ``req_threshold``, ``knob_threshold`` and ``weights``."""
     where = "config section 'analysis'"
     section = _object(cfg.get("analysis") or {}, where)
-    _check_keys(section, _ANALYSIS_KEYS, where)
+    _check_keys(section, [*(key for key, _, _ in _THRESHOLDS), "weights"], where)
     weights = section.get("weights")
     if weights is not None:
         _check_keys(_object(weights, f"{where}.weights"), REQUIREMENT_NAMES, f"{where}.weights")
     try:
-        thresholds = [require_number(key, section.get(key, default)) for key, default in
-                      (("req_threshold", DEFAULT_REQUIREMENT_THRESHOLD),
-                       ("knob_threshold", DEFAULT_KNOB_THRESHOLD))]
-        for value, kind in zip(thresholds, ("requirement", "knob")):
-            _check_threshold(value, kind)
+        thresholds = {key: require_number(key, section.get(key, default))
+                      for key, _, default in _THRESHOLDS}
+        for key, kind, _ in _THRESHOLDS:
+            _check_threshold(thresholds[key], kind)
         if weights is not None:
             weights = {name: check_weight(name, require_number(f"weight for {name}", v))
                        for name, v in weights.items()}
@@ -168,15 +158,15 @@ def build_analysis(cfg: dict) -> tuple[float, float, dict[str, float] | None]:
                 raise ConfigError("every weight is zero; nothing to rank on")
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return *thresholds, weights
+    return {**thresholds, "weights": weights}
 
 
-def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
+def build_baseline(cfg: dict, space: KnobSpace) -> Configuration:
     section = cfg.get("baseline")
     if section is None:
-        return None
-    _check_keys(_object(section, "config section 'baseline'"), space.names,
-                "config section 'baseline'")
+        return space.baseline_configuration()
+    where = "config section 'baseline'"
+    _check_keys(_object(section, where), space.names, where)
     levels = []
     for name in space.names:
         knob = space.knob(name)
@@ -184,10 +174,50 @@ def build_baseline(cfg: dict, space: KnobSpace) -> Configuration | None:
         try:
             levels.append(knob.level_index(label))
         except KeyError:
-            raise ConfigError(
-                f"config section 'baseline': unknown level {label!r} for knob {name!r}"
-            ) from None
+            raise ConfigError(f"{where}: unknown level {label!r} for knob {name!r}") from None
     return Configuration(tuple(levels))
+
+
+class _Run(NamedTuple):
+    """One run's settings: the built-in defaults, then the config, then the flags."""
+
+    space: KnobSpace
+    workload: WorkloadParams
+    effects: KnobEffects
+    fault: FaultModel
+    metrics: tuple[AvailabilityModel, CostModel, RequirementSpec]
+    analysis: dict
+    baseline: Configuration
+
+
+def _resolve(args, cfg: dict) -> _Run:
+    """Each setting of the run: the config's sections, then the flags, then the baseline.
+
+    Every section is built whatever the subcommand, so a broken config fails alike everywhere.
+    """
+    space = build_space(cfg)
+    workload = build_workload(cfg)
+    effects, fault = build_effects(cfg)
+    metrics = build_metrics(cfg)
+    analysis = build_analysis(cfg)
+    if getattr(args, "space", None):
+        try:
+            space = KnobSpace.from_json_dict(_read_json(args.space, "--space"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"--space {args.space}: {exc}") from exc
+    if getattr(args, "params", None):
+        workload = _override(workload, _read_json(args.params, "--params"),
+                             f"--params {args.params}")
+    for flag, check, *rule in (*((key, _check_threshold, kind) for key, kind, _ in _THRESHOLDS),
+                               ("seed", _seed), ("intervals", _check_intervals)):
+        if (value := getattr(args, flag, None)) is not None:
+            try:
+                check(value, *rule)
+            except ValueError as exc:
+                raise ConfigError(f"--{flag.replace('_', '-')}: {exc}") from exc
+            if flag in analysis:
+                analysis[flag] = value
+    return _Run(space, workload, effects, fault, metrics, analysis, build_baseline(cfg, space))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +259,6 @@ def _write_text(path: str, manifest: dict, body: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest: {_manifest_comment(manifest)}\n\n")
         fh.write(body)
-        if not body.endswith("\n"):
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +289,6 @@ def _read_reduction(path: str) -> ReductionReport:
         return ReductionReport.from_json_dict(_read_json(path, "--reduction"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"--reduction {path}: not a reduction artifact: {exc}") from exc
-
-
-def _resolve_space(args, cfg: dict) -> KnobSpace:
-    if getattr(args, "space", None):
-        try:
-            return KnobSpace.from_json_dict(_read_json(args.space, "--space"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"--space {args.space}: {exc}") from exc
-    return build_space(cfg)
 
 
 class _Dataset(NamedTuple):
@@ -303,10 +322,8 @@ def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
     return _Dataset(ds, digest, seed)
 
 
-def _dataset_metrics(args, cfg: dict, ds: SweepDataset
-                     ) -> tuple[AvailabilityModel, CostModel, RequirementSpec]:
-    """The metrics models, once ``ds``'s recorded Monte Carlo iterations meet their floor."""
-    models = build_metrics(cfg)
+def _check_mc_iterations(args, ds: SweepDataset, spec: RequirementSpec) -> None:
+    """Reject ``ds`` when its recorded Monte Carlo iterations miss ``spec``'s floor."""
     raw = ds.metadata.get("mc_iterations")
     if raw is not None:
         try:
@@ -314,36 +331,28 @@ def _dataset_metrics(args, cfg: dict, ds: SweepDataset
         except ValueError:
             raise ConfigError(
                 f"{args.dataset}: mc_iterations metadata is not a number: {raw!r}") from None
-        if not iterations >= models[2].min_mc_iterations:
+        if not iterations >= spec.min_mc_iterations:
             raise ConfigError(
                 f"{args.dataset}: dataset has mc_iterations {raw}, below the accuracy floor "
-                f"metrics.min_mc_iterations {models[2].min_mc_iterations}"
+                f"metrics.min_mc_iterations {spec.min_mc_iterations}"
             )
-    return models
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(args, cfg: dict, space: KnobSpace) -> int:
-    if args.params:
-        params = _override(WorkloadParams(), _read_json(args.params, "--params"),
-                           f"--params {args.params}")
-    else:
-        params = build_workload(cfg)
-    effects, fault = build_effects(cfg)
-
+def cmd_simulate(args, run: _Run) -> int:
     try:
-        ds = generate_sweep(space, params, effects, fault,
+        ds = generate_sweep(run.space, run.workload, run.effects, run.fault,
                             seed=args.seed, n_intervals=args.intervals)
     except ValueError as exc:
-        raise ConfigError(f"--intervals/--seed: {exc}") from exc
+        raise ConfigError(f"the workload and effects settings give a bad sweep: {exc}") from exc
 
     resolved = {
-        "space": space.to_json_dict(),
-        "workload": asdict(params),
-        "effects": {**asdict(effects), "fault": asdict(fault)},
+        "space": run.space.to_json_dict(),
+        "workload": asdict(run.workload),
+        "effects": {**asdict(run.effects), "fault": asdict(run.fault)},
     }
     manifest = make_manifest(args, resolved, args.seed, ds.metadata.get("parameters"))
     ds.metadata["manifest"] = _manifest_comment(manifest)
@@ -353,10 +362,10 @@ def cmd_simulate(args, cfg: dict, space: KnobSpace) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args, cfg: dict, space: KnobSpace) -> int:
-    data = _load_dataset(args, space, derived=False)
+def cmd_ingest(args, run: _Run) -> int:
+    data = _load_dataset(args, run.space, derived=False)
     state = "derived" if data.ds.is_derived else "underived"
-    print(f"{args.dataset}: {len(data.ds)} rows, {len(space.names)} knobs, {state}, "
+    print(f"{args.dataset}: {len(data.ds)} rows, {len(run.space.names)} knobs, {state}, "
           f"digest {data.digest}")
     if args.out:
         data.ds.metadata["manifest"] = _manifest_comment(data.manifest(args))
@@ -365,28 +374,26 @@ def cmd_ingest(args, cfg: dict, space: KnobSpace) -> int:
     return EXIT_OK
 
 
-def cmd_derive(args, cfg: dict, space: KnobSpace) -> int:
-    data = _load_dataset(args, space, derived=False)
-    models = _dataset_metrics(args, cfg, data.ds)
-    derived = derive_dataset(data.ds, *models)
+def cmd_derive(args, run: _Run) -> int:
+    data = _load_dataset(args, run.space, derived=False)
+    _check_mc_iterations(args, data.ds, run.metrics[2])
+    derived = derive_dataset(data.ds, *run.metrics)
     derived.metadata["manifest"] = _manifest_comment(
-        data.manifest(args, metrics=_metrics_json(*models)))
+        data.manifest(args, metrics=_metrics_json(*run.metrics)))
     export_csv(derived, args.out)
     print(f"wrote {args.out}: {len(derived)} rows with requirement columns")
     return EXIT_OK
 
 
-def cmd_reduce(args, cfg: dict, space: KnobSpace) -> int:
-    data = _load_dataset(args, space)
-    analysis = dict(zip(("req_threshold", "knob_threshold"), build_analysis(cfg)))
-    # each threshold flag, when given, overrides the config key of its name
-    analysis.update({k: getattr(args, k) for k in analysis if getattr(args, k) is not None})
+def cmd_reduce(args, run: _Run) -> int:
+    data = _load_dataset(args, run.space)
+    thresholds = {key: run.analysis[key] for key, _, _ in _THRESHOLDS}
     try:
-        report = reduce(data.ds, analysis["req_threshold"], analysis["knob_threshold"])
+        report = reduce(data.ds, *thresholds.values())
     except ValueError as exc:
-        raise ConfigError(f"--req-threshold/--knob-threshold: {exc}") from exc
+        raise ConfigError(f"--dataset {args.dataset}: {exc}") from exc
 
-    manifest = data.manifest(args, analysis=analysis)
+    manifest = data.manifest(args, analysis=thresholds)
     _write_json(args.out, {"manifest": manifest, **report.to_json_dict()})
     with open(args.coefficients, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest: {_manifest_comment(manifest)}\n")
@@ -397,17 +404,16 @@ def cmd_reduce(args, cfg: dict, space: KnobSpace) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, cfg: dict, space: KnobSpace) -> int:
-    ds, _, _ = data = _load_dataset(args, space)
-    models = _dataset_metrics(args, cfg, ds)
-    _, _, weights = build_analysis(cfg)
-    scores, order = rank_feasible(ds, models[2], weights)
+def cmd_search(args, run: _Run) -> int:
+    ds, _, _ = data = _load_dataset(args, run.space)
+    _check_mc_iterations(args, ds, run.metrics[2])
+    scores, order = rank_feasible(ds, run.metrics[2], run.analysis["weights"])
     best = RankedConfig.at(ds, order[0], scores)
     entries = [{"rank": rank, "score": float(scores[i]), **row_json_dict(ds, i)}
                for rank, i in enumerate(order[:args.top], start=1)]
 
-    manifest = data.manifest(args, metrics=_metrics_json(*models),
-                             analysis={"weights": weights})
+    manifest = data.manifest(args, metrics=_metrics_json(*run.metrics),
+                             analysis={"weights": run.analysis["weights"]})
     payload = {
         "manifest": manifest,
         "total_rows": len(ds),
@@ -418,24 +424,21 @@ def cmd_search(args, cfg: dict, space: KnobSpace) -> int:
     _write_json(args.out, payload)
     _write_text(args.leaderboard, manifest, _section("search", render_search(payload)))
     config_str = " ".join(f"{k}={v}" for k, v in
-                          zip(space.names, best.config.labels(space)))
+                          zip(run.space.names, best.config.labels(run.space)))
     print(f"wrote {args.out} and {args.leaderboard}: best {config_str} "
           f"(score {best.score:+.4f})")
     return EXIT_OK
 
 
-def cmd_validate(args, cfg: dict, space: KnobSpace) -> int:
-    ds, _, _ = data = _load_dataset(args, space)
+def cmd_validate(args, run: _Run) -> int:
+    ds, _, _ = data = _load_dataset(args, run.space)
     report = _read_reduction(args.reduction)
-    models = _dataset_metrics(args, cfg, ds)
-    _, _, weights = build_analysis(cfg)
-    baseline = build_baseline(cfg, space)
-    result = validate(ds, report, models[2], baseline, weights)
+    _check_mc_iterations(args, ds, run.metrics[2])
+    result = validate(ds, report, run.metrics[2], run.baseline, run.analysis["weights"])
 
     manifest = data.manifest(
-        args, metrics=_metrics_json(*models), analysis={"weights": weights},
-        baseline=dict(zip(space.names,
-                          (baseline or space.baseline_configuration()).labels(space))),
+        args, metrics=_metrics_json(*run.metrics), analysis={"weights": run.analysis["weights"]},
+        baseline=dict(zip(run.space.names, run.baseline.labels(run.space))),
     )
     payload = {"manifest": manifest, **result.to_json_dict(ds)}
     _write_json(args.out, payload)
@@ -537,7 +540,7 @@ def _section(title: str, lines: list[str]) -> str:
     return "\n".join([title, "-" * len(title), *("  " + line for line in lines)]) + "\n"
 
 
-def cmd_report(args, cfg: dict, space: KnobSpace) -> int:
+def cmd_report(args, run: _Run) -> int:
     if not any((args.sweep, args.reduction, args.search, args.validation)):
         raise ConfigError(
             "report needs at least one artifact "
@@ -659,10 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        space = _resolve_space(args, cfg)
-        build_baseline(cfg, space)  # against the space this run uses
-        return args.handler(args, cfg, space)
+        return args.handler(args, _resolve(args, load_config(args.config)))
     except IngestionError as exc:
         print(f"hpckit: ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION

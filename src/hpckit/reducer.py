@@ -166,18 +166,13 @@ def prune_correlated(
         removals.append(RemovalRecord(name, "zero_variance"))
     live = [n for n, is_flat in zip(names, flat) if not is_flat]
     corr = corr[~flat][:, ~flat]
+    above = np.triu(np.ones(corr.shape, dtype=bool), 1)  # its top-left blocks fit every size
     while len(live) >= 2:
-        n = len(live)
-        best_pair = None
-        best_abs = threshold
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = abs(corr[i, j])
-                if a > best_abs or (best_pair is None and a >= threshold):
-                    best_pair, best_abs = (i, j), a
-        if best_pair is None:
+        # the strongest pair above the diagonal; argmax takes the first in row-major order
+        upper = np.where(above[:len(live), :len(live)], np.abs(corr), 0.0)
+        i, j = divmod(int(upper.argmax()), len(live))
+        if upper[i, j] < threshold:
             break
-        i, j = best_pair
         # Summed |r| against every other live column decides which
         # member goes; the shared pair entry cancels out.
         sums = {k: float(np.abs(corr[k]).sum() - 1.0) for k in (i, j)}

@@ -333,6 +333,13 @@ def _seed(seed) -> int:
     return value
 
 
+def _check_intervals(n_intervals) -> None:
+    """Reject an interval count that is not an int of at least 5, the trimmed mean's floor."""
+    require_int("n_intervals", n_intervals)
+    if n_intervals < 5:
+        raise ValueError("n_intervals must be at least 5 for a trimmed mean")
+
+
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -489,9 +496,7 @@ def simulate_config_detailed(
     one more for the failure point if a server failed.
     """
     seed = _seed(seed)
-    require_int("n_intervals", n_intervals)
-    if n_intervals < 5:
-        raise ValueError("n_intervals must be at least 5 for a trimmed mean")
+    _check_intervals(n_intervals)
     rank = enumeration_rank(space, config)  # also checks config against space
     eff = _combine_effects(space, config, effects)
     rng = _stream(seed, rank)

@@ -351,7 +351,6 @@ class SweepDataset:
     metadata: dict = field(default_factory=dict)
     requirement_spec: object | None = None
     rank: np.ndarray = field(init=False, repr=False)
-    _row_of_rank: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.levels)
@@ -371,7 +370,6 @@ class SweepDataset:
         rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs])
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_row_of_rank", dict(zip(rank.tolist(), range(n))))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -406,9 +404,11 @@ class SweepDataset:
     def index_of(self, config: Configuration) -> int:
         """The row holding ``config``; KeyError when there is none."""
         try:
-            return self._row_of_rank[enumeration_rank(self.space, config)]
-        except (KeyError, ValueError):
+            # ranks are unique, so no row or one; unpacking no row raises ValueError too
+            (row,) = np.flatnonzero(self.rank == enumeration_rank(self.space, config))
+        except ValueError:
             raise KeyError(f"no row for configuration {config.levels}") from None
+        return int(row)
 
 
 def export_csv(ds: SweepDataset, path_or_file) -> None:

@@ -247,6 +247,17 @@ def test_report_rejects_json_that_is_not_an_artifact(tmp_path, capsys):
     assert "not a reduction artifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, key", [("search", "best"),
+                                       ("validation", "percent_differences")])
+def test_report_names_the_artifact_a_json_is_not(tmp_path, capsys, flag, key):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(json.dumps({"kept_monitors": []}))
+    assert run("report", f"--{flag}", bogus, "--out", tmp_path / "r.txt") == 1
+    err = capsys.readouterr().err
+    assert f"--{flag} {bogus}: not a {flag} artifact: '{key}'" in err, err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_non_reduction_json_reads_the_same_in_validate_and_report(tmp_path, capsys):
     paths = run_pipeline(tmp_path)
     bogus = tmp_path / "bogus.json"
@@ -373,6 +384,18 @@ def test_flags_override_config(tmp_path):
     assert json.loads(out.read_text())["thresholds"]["requirement"] == 0.85
 
 
+def test_params_keys_override_the_config_workload(tmp_path):
+    cfg, params, out = tmp_path / "cfg.json", tmp_path / "params.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"workload": {"servers": 3}}))
+    params.write_text(json.dumps({"mc_iterations": 30000}))
+    assert run("--config", cfg, "--deterministic", "simulate", "--params", params,
+               "--out", out) == 0
+    manifest = _manifest(out)
+    assert manifest["inputs"]["params"] == str(params)
+    assert manifest["config"]["workload"] == {**dataclasses.asdict(WorkloadParams()),
+                                              "servers": 3, "mc_iterations": 30000}
+
+
 def test_env_var_is_config_fallback(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"analysis": {"knob_threshold": 0.2}}))
@@ -484,6 +507,20 @@ def test_mc_iterations_below_the_floor_exit_one(tmp_path, capsys):
         assert run("--config", cfg, *argv) == 1, argv[0]
         err = capsys.readouterr().err
         assert "20000" in err and "30000" in err, err
+
+
+def test_non_numeric_mc_iterations_metadata_exits_one(tmp_path, capsys):
+    sweep, odd = tmp_path / "sweep.csv", tmp_path / "odd.csv"
+    assert run("--deterministic", "simulate", "--out", sweep) == 0
+    text = sweep.read_text(encoding="utf-8")
+    assert "# mc_iterations: 20000\n" in text
+    odd.write_text(text.replace("# mc_iterations: 20000\n", "# mc_iterations: lots\n"),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert run("derive", "--dataset", odd, "--out", tmp_path / "d.csv") == 1
+    err = capsys.readouterr().err
+    assert f"{odd}: mc_iterations metadata is not a number: 'lots'" in err, err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_unknown_config_section_is_rejected(tmp_path, capsys):
@@ -786,6 +823,15 @@ def test_bad_baseline_exits_one_in_every_subcommand(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_unknown_baseline_level_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"baseline": {"DVFS": "9.9GHz"}}))
+    assert run("--config", cfg, "simulate", "--out", tmp_path / "s.csv") == 1
+    err = capsys.readouterr().err
+    assert "config section 'baseline': unknown level '9.9GHz' for knob 'DVFS'" in err, err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -927,6 +973,65 @@ def test_degenerate_level_factor_exits_one(tmp_path, capsys, factor, value):
 
 def test_simulate_rejects_too_few_intervals(tmp_path):
     assert run("simulate", "--intervals", "3", "--out", tmp_path / "s.csv") == 1
+
+
+@pytest.mark.parametrize("effects, message", [
+    ({"levels": {"SMT": {"Enable": {"throughput": 1e-320}}}},
+     "row 16: monitor execution_time must be finite, got inf"),
+    ({"base_fit": 1e10, "levels": {"SMT": {"Enable": {"fit": 1e308}}}},
+     "row 16: MTBF monitors must be positive"),
+    ({"levels": {"SMT": {"Enable": {"cpu_power": 1e308}}}},
+     "row 16: monitor cpu_power must be finite, got inf"),
+])
+def test_model_settings_that_give_a_bad_sweep_exit_one(tmp_path, capsys, effects, message):
+    # each setting passes its own check; only the sweep it gives is broken
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"effects": effects}))
+    out = tmp_path / "s.csv"
+    assert run("--config", cfg, "simulate", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: the workload and effects settings give a bad sweep: {message}\n" in err, err
+    assert "--" not in err, err
+    assert not out.exists()
+
+
+REDUCE_MISSING = ["reduce", "--dataset", "missing.csv", "--out", "r.json",
+                  "--coefficients", "c.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (REDUCE_MISSING + ["--req-threshold", "1.5"],
+     "--req-threshold: requirement threshold must lie in (0, 1], got 1.5"),
+    (REDUCE_MISSING + ["--req-threshold", "0"],
+     "--req-threshold: requirement threshold must lie in (0, 1], got 0.0"),
+    (REDUCE_MISSING + ["--knob-threshold", "nan"],
+     "--knob-threshold: knob threshold must lie in (0, 1], got nan"),
+    (REDUCE_MISSING + ["--knob-threshold", "-0.4"],
+     "--knob-threshold: knob threshold must lie in (0, 1], got -0.4"),
+    (["simulate", "--seed", "-1", "--out", "s.csv"],
+     "--seed: seed must be a non-negative integer, got -1"),
+    (["simulate", "--intervals", "3", "--out", "s.csv"],
+     "--intervals: n_intervals must be at least 5 for a trimmed mean"),
+])
+def test_bad_value_flag_exits_one_naming_the_flag(tmp_path, capsys, monkeypatch, argv, message):
+    # a value flag is checked before any file is read, a missing --dataset too
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"hpckit: error: {message}\n", err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reduction_of_too_few_rows_names_the_dataset(tmp_path, capsys):
+    paths = run_pipeline(tmp_path)
+    lines = paths["derived"].read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("".join(lines[:header + 3]))
+    assert run("reduce", "--dataset", two_rows, "--out", tmp_path / "r2.json",
+               "--coefficients", tmp_path / "c2.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"hpckit: error: --dataset {two_rows}: reduction needs at least 3 rows\n", err
 
 
 # SHA-256 of each quick-start artifact, recorded before the dataset went

@@ -488,6 +488,23 @@ def test_ingest_rejects_empty_data_section(raw_dataset):
         ingest_csv(io.StringIO("".join(kept)), raw_dataset.space)
 
 
+def _comments_only(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "", "empty file: no header row"),
+    (_comments_only, "empty file: no header row"),
+    (lambda text: text.replace("req:availability", "req:uptime"),
+     "partial requirement columns; missing req:availability"),
+])
+def test_ingest_rejects_a_file_without_a_usable_header(derived_dataset, edit, message):
+    text = edit(export_csv_string(derived_dataset))
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(io.StringIO(text), derived_dataset.space)
+    assert str(exc.value) == message
+
+
 def test_ingest_names_missing_column(raw_dataset):
     text = export_csv_string(raw_dataset).replace("mon:cpu_power_w", "mon:renamed")
     with pytest.raises(IngestionError, match="cpu_power_w"):
