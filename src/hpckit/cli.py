@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from . import __version__
 from .defaults import DEFAULT_SEED, default_effects, default_knob_space
 from .errors import (ConfigError, HpckitError, IngestionError, NoFeasibleConfigurationError,
-                     require_number)
+                     UnreachableTargetError, require_number)
 from .metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from .reducer import (
     DEFAULT_KNOB_THRESHOLD,
@@ -88,7 +89,10 @@ def _override(base, section: dict, where: str):
 
 
 def load_config(path: str | None) -> dict:
-    """The JSON config, its section names checked; falls back to $HPCKIT_CONFIG, then to {}."""
+    """The JSON config with its section names checked and its ``null`` (absent) sections dropped.
+
+    Falls back to $HPCKIT_CONFIG, then to {}.
+    """
     source = "--config"
     if path is None:
         path, source = os.environ.get("HPCKIT_CONFIG"), "HPCKIT_CONFIG"
@@ -96,7 +100,7 @@ def load_config(path: str | None) -> dict:
             return {}
     data = _read_json(path, source)
     _check_keys(data, _CONFIG_SECTIONS, f"config file {path}")
-    return data
+    return {name: section for name, section in data.items() if section is not None}
 
 
 def build_space(cfg: dict) -> KnobSpace:
@@ -110,27 +114,28 @@ def build_space(cfg: dict) -> KnobSpace:
 
 
 def build_workload(cfg: dict) -> WorkloadParams:
-    return _override(WorkloadParams(), cfg.get("workload") or {}, "config section 'workload'")
+    return _override(WorkloadParams(), cfg.get("workload", {}), "config section 'workload'")
 
 
 def build_effects(cfg: dict) -> tuple[KnobEffects, FaultModel]:
     where = "config section 'effects'"
-    section = dict(_object(cfg.get("effects") or {}, where))
+    section = dict(_object(cfg.get("effects", {}), where))
     base = default_effects()
     fault = _override(FaultModel(), section.pop("fault", {}), f"{where}.fault")
     noise = _override(base.noise, section.pop("noise", {}), f"{where}.noise")
     levels = {knob: dict(table) for knob, table in base.levels.items()}
     for knob, table in _object(section.pop("levels", {}), f"{where}.levels").items():
+        known = levels.setdefault(knob, {})  # a label without a default starts from neutral
         for label, over in _object(table, f"{where}.levels[{knob}]").items():
-            levels.setdefault(knob, {})[label] = _override(
-                LevelEffect(), over, f"{where}.levels[{knob}][{label}]")
+            known[label] = _override(known.get(label, LevelEffect()), over,
+                                     f"{where}.levels[{knob}][{label}]")
     return _override(base, {**section, "noise": noise, "levels": levels}, where), fault
 
 
 def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementSpec]:
     """The three metrics models; the section's keys are their field names."""
     where = "config section 'metrics'"
-    section = _object(cfg.get("metrics") or {}, where)
+    section = _object(cfg.get("metrics", {}), where)
     models = (AvailabilityModel(), CostModel(), RequirementSpec())
     names = [{f.name for f in fields(m)} for m in models]
     _check_keys(section, set().union(*names), where)
@@ -141,7 +146,7 @@ def build_metrics(cfg: dict) -> tuple[AvailabilityModel, CostModel, RequirementS
 def build_analysis(cfg: dict) -> dict:
     """The analysis settings: ``req_threshold``, ``knob_threshold`` and ``weights``."""
     where = "config section 'analysis'"
-    section = _object(cfg.get("analysis") or {}, where)
+    section = _object(cfg.get("analysis", {}), where)
     _check_keys(section, [*(key for key, _, _ in _THRESHOLDS), "weights"], where)
     weights = section.get("weights")
     if weights is not None:
@@ -162,11 +167,9 @@ def build_analysis(cfg: dict) -> dict:
 
 
 def build_baseline(cfg: dict, space: KnobSpace) -> Configuration:
-    section = cfg.get("baseline")
-    if section is None:
-        return space.baseline_configuration()
     where = "config section 'baseline'"
-    _check_keys(_object(section, where), space.names, where)
+    section = _object(cfg.get("baseline", {}), where)
+    _check_keys(section, space.names, where)
     levels = []
     for name in space.names:
         knob = space.knob(name)
@@ -265,17 +268,20 @@ def _write_text(path: str, manifest: dict, body: str) -> None:
 # shared loading
 
 
-def _require_file(path: str, flag: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{flag}: file not found: {path}")
-    return path
+def _read(path: str, flag: str, fault=ConfigError) -> str:
+    """The text of the input file ``flag`` names; ``fault`` is raised for one that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise fault(f"{flag} {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _read_json(path: str, flag: str) -> dict:
-    _require_file(path, flag)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(_read(path, flag))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{flag} {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -306,17 +312,18 @@ class _Dataset(NamedTuple):
 
 def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
     """Read ``--dataset`` against ``space``; ``derived`` requires requirement columns."""
-    path = _require_file(args.dataset, "--dataset")
+    path = args.dataset
+    data = _read(path, "--dataset", IngestionError).encode("utf-8")
     try:
-        ds = ingest_csv(path, space)
+        # a stream over the bytes: a StringIO would hold the text at 4 bytes a character
+        ds = ingest_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), space)
     except IngestionError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
     if derived and not ds.is_derived:
         raise ConfigError(
             f"{path}: dataset has no derived requirement columns; run 'hpckit derive' first"
         )
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    digest = hashlib.sha256(data).hexdigest()[:16]
     raw_seed = ds.metadata.get("seed", "")
     seed = int(raw_seed) if raw_seed.removeprefix("-").isdecimal() else None
     return _Dataset(ds, digest, seed)
@@ -342,12 +349,17 @@ def _check_mc_iterations(args, ds: SweepDataset, spec: RequirementSpec) -> None:
 # subcommands
 
 
-def cmd_simulate(args, run: _Run) -> int:
+def _stage(source: str, compute, *inputs):
+    """``compute(*inputs)``; a ValueError or UnreachableTargetError it raises blames ``source``."""
     try:
-        ds = generate_sweep(run.space, run.workload, run.effects, run.fault,
-                            seed=args.seed, n_intervals=args.intervals)
-    except ValueError as exc:
-        raise ConfigError(f"the workload and effects settings give a bad sweep: {exc}") from exc
+        return compute(*inputs)
+    except (ValueError, UnreachableTargetError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def cmd_simulate(args, run: _Run) -> int:
+    ds = _stage("the workload and effects settings give a bad sweep", generate_sweep, run.space,
+                run.workload, run.effects, run.fault, args.seed, args.intervals)
 
     resolved = {
         "space": run.space.to_json_dict(),
@@ -377,7 +389,7 @@ def cmd_ingest(args, run: _Run) -> int:
 def cmd_derive(args, run: _Run) -> int:
     data = _load_dataset(args, run.space, derived=False)
     _check_mc_iterations(args, data.ds, run.metrics[2])
-    derived = derive_dataset(data.ds, *run.metrics)
+    derived = _stage(f"--dataset {args.dataset}", derive_dataset, data.ds, *run.metrics)
     derived.metadata["manifest"] = _manifest_comment(
         data.manifest(args, metrics=_metrics_json(*run.metrics)))
     export_csv(derived, args.out)
@@ -388,10 +400,7 @@ def cmd_derive(args, run: _Run) -> int:
 def cmd_reduce(args, run: _Run) -> int:
     data = _load_dataset(args, run.space)
     thresholds = {key: run.analysis[key] for key, _, _ in _THRESHOLDS}
-    try:
-        report = reduce(data.ds, *thresholds.values())
-    except ValueError as exc:
-        raise ConfigError(f"--dataset {args.dataset}: {exc}") from exc
+    report = _stage(f"--dataset {args.dataset}", reduce, data.ds, *thresholds.values())
 
     manifest = data.manifest(args, analysis=thresholds)
     _write_json(args.out, {"manifest": manifest, **report.to_json_dict()})
@@ -454,9 +463,7 @@ def cmd_validate(args, run: _Run) -> int:
 
 
 def _sweep_summary(path: str) -> list[str]:
-    _require_file(path, "--sweep")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        metadata, data = split_metadata(fh)
+    metadata, data = split_metadata(io.StringIO(_read(path, "--sweep"), newline=""))
     lines = [f"file: {path}", f"rows: {max(0, len(data) - 1)}"]  # less the header
     for key in ("seed", "parameters", "mc_iterations", "n_intervals",
                 "interval_success_fraction"):

@@ -157,6 +157,7 @@ def derive_cost(servers: int, energy: float, model: CostModel) -> CostBreakdown:
     return CostBreakdown(capex, opex, capex + opex)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the dataset's rules name an overflow
 def derive_dataset(
     ds: SweepDataset,
     avail_model: AvailabilityModel,

@@ -15,7 +15,7 @@ import pytest
 from hpckit import cli, search
 from hpckit.metrics import AvailabilityModel, CostModel, RequirementSpec
 from hpckit.simulator import FaultModel, KnobEffects, LevelEffect, NoiseParams, WorkloadParams
-from hpckit.sweep import REQUIREMENT_NAMES
+from hpckit.sweep import REQUIREMENT_NAMES, export_csv
 
 
 def run(*args) -> int:
@@ -540,12 +540,36 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("config", [
     {"effects": 5}, {"effects": {"levels": []}}, {"effects": {"levels": {"SMT": 3}}},
     {"metrics": 5}, {"analysis": 5}, {"analysis": {"weights": 5}}, {"baseline": 5},
+    {"workload": []}, {"effects": 0}, {"metrics": False}, {"analysis": ""},
 ])
 def test_config_section_that_is_not_an_object_exits_one(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run("--config", cfg, "simulate", "--out", tmp_path / "s.csv") == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_null_config_section_counts_as_absent(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"workload": None}))
+    assert run("--config", cfg, "--deterministic", "simulate", "--out", out) == 0
+    assert _manifest(out)["config"]["workload"] == dataclasses.asdict(WorkloadParams())
+
+
+@pytest.mark.parametrize("knob, label, over, start", [
+    ("SMT", "Enable", {"throughput": 1.7}, {"cpu_power": 1.45, "dram_activity": 1.15,
+                                            "mpki": 1.12}),
+    ("SMT", "Disable", {"throughput": 0.9}, {}),
+    ("DVFS", "1.2GHz", {"fit": 2.0}, {}),
+], ids=["level with a default", "label without a default", "knob without defaults"])
+def test_level_override_changes_only_the_factors_it_names(tmp_path, knob, label, over, start):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+    cfg.write_text(json.dumps({"effects": {"levels": {knob: {label: over}}}}))
+    assert run("--config", cfg, "--deterministic", "simulate", "--out", out) == 0
+    levels = _manifest(out)["config"]["effects"]["levels"]
+    assert levels[knob][label] == {**dataclasses.asdict(LevelEffect()), **start, **over}
+    if label != "Enable":  # the defaults of other levels stay as they are
+        assert levels["SMT"]["Enable"]["cpu_power"] == 1.45
 
 
 @pytest.mark.parametrize("config, key", [
@@ -891,6 +915,92 @@ def test_missing_dataset_file_exits_one(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert run("derive", "--dataset", missing, "--out", tmp_path / "d.csv") == 1
     assert "nope.csv" in capsys.readouterr().err
+
+
+BAD, DERIVED = "<bad file>", "<derived sweep>"
+# each file flag with a run that reads it; BAD stands for the bad file
+FILE_FLAG_RUNS = {
+    "--config": ["--config", BAD, "simulate"],
+    "--space": ["simulate", "--space", BAD],
+    "--params": ["simulate", "--params", BAD],
+    **{f"{stage} --dataset": [stage, "--dataset", BAD]
+       for stage in ("ingest", "derive", "reduce", "search")},
+    # validate reads --dataset first, so its --reduction file is never opened
+    "validate --dataset": ["validate", "--dataset", BAD, "--reduction", "r.json"],
+    "validate --reduction": ["validate", "--dataset", DERIVED, "--reduction", BAD],
+    **{f"report --{name}": ["report", f"--{name}", BAD]
+       for name in ("sweep", "reduction", "search", "validation")},
+}
+
+
+@pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+@pytest.mark.parametrize("argv", FILE_FLAG_RUNS.values(), ids=FILE_FLAG_RUNS.keys())
+def test_bad_input_file_exits_naming_its_flag(tmp_path, capsys, monkeypatch, derived_dataset,
+                                              argv, kind):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HPCKIT_CONFIG", raising=False)
+    bad, derived = tmp_path / "bad", tmp_path / "derived.csv"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe{}\n")
+    export_csv(derived_dataset, derived)
+    flag = argv[argv.index(BAD) - 1]
+    # an exception leaving main fails the test
+    code = cli.main([{BAD: str(bad), DERIVED: str(derived)}.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == (3 if flag == "--dataset" and kind == "not UTF-8" else 1), err
+    assert any(line.startswith("hpckit:") and f"{flag} {bad}:" in line
+               for line in err.splitlines()), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "derived.csv"]
+
+
+def test_dataset_is_read_once(tmp_path, monkeypatch):
+    sweep = tmp_path / "sweep.csv"
+    assert run("simulate", "--out", sweep) == 0
+    opened = Counter()
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run("derive", "--dataset", sweep, "--out", tmp_path / "d.csv") == 0
+    assert opened[str(sweep)] == 1
+
+
+def test_dataset_that_is_not_utf8_exits_three_naming_the_byte(tmp_path, capsys):
+    sweep, odd = tmp_path / "sweep.csv", tmp_path / "odd.csv"
+    assert run("simulate", "--out", sweep) == 0
+    data = sweep.read_bytes()
+    at = data.index(b"Disable")
+    odd.write_bytes(data[:at] + b"\xe9" + data[at + 1:])  # a Latin-1 e acute
+    capsys.readouterr()
+    assert run("ingest", "--dataset", odd) == 3
+    err = capsys.readouterr().err
+    assert err == (f"hpckit: ingestion error: --dataset {odd}: not UTF-8 text: "
+                   f"invalid continuation byte at byte {at}\n"), err
+
+
+def test_derive_overflow_exits_one_naming_the_dataset(tmp_path, capsys):
+    # each monitor is finite, but the energy they give overflows to inf
+    sweep, overflow, out = tmp_path / "sweep.csv", tmp_path / "overflow.csv", tmp_path / "d.csv"
+    assert run("simulate", "--out", sweep) == 0
+    lines = sweep.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names, cells = (lines[i].rstrip("\n").split(",") for i in (header, header + 1))
+    for name, value in (("execution_time_s", "1e300"), ("cpu_power_w", "1e10"),
+                        ("peak_power_w", "2e10")):
+        cells[names.index(f"mon:{name}")] = value
+    overflow.write_text("".join(lines[:header + 1]) + ",".join(cells) + "\n")
+    capsys.readouterr()
+    # a RuntimeWarning from hpckit would be an error here (pyproject filterwarnings)
+    assert run("derive", "--dataset", overflow, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == (f"hpckit: error: --dataset {overflow}: "
+                   "row 0: monitor opex must be finite, got inf\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["--5", "\u00b2"])

@@ -1,6 +1,7 @@
 """Feasibility filtering, scoring, exhaustive and reduced search."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,8 @@ from hpckit.errors import ConfigError, NoFeasibleConfigurationError
 from hpckit.metrics import RequirementSpec
 from hpckit.search import (
     HIGHER_IS_BETTER,
+    _improvement_ratio,
+    _percent_difference,
     feasible_rows,
     is_feasible,
     oracle_best,
@@ -213,6 +216,37 @@ def test_negative_weights_are_rejected():
         score_requirements(ds, weights={"performance_s": -1.0})
 
 
+@pytest.mark.parametrize("perf, weights", [
+    ([100.0] * 4, None),
+    ([100.0, 200.0, 300.0, 400.0], dict.fromkeys(REQUIREMENT_NAMES, 0.0)),
+], ids=["every column flat", "every weight zero"])
+def test_nothing_to_rank_on_is_rejected(perf, weights):
+    ds = _scored_dataset(perf, [70.0] * 4, [0.99] * 4, [5000.0] * 4)
+    with pytest.raises(ConfigError, match="every scoring column is flat or zero-weighted"):
+        score_requirements(ds, weights)
+
+
+def test_scoring_needs_two_rows():
+    one = SweepDataset(space_of(2), [(0,)], [monitor_vector()], [requirement_values()])
+    with pytest.raises(ValueError, match="scoring needs at least two rows"):
+        score_requirements(one)
+
+
+def _underived_pair() -> SweepDataset:
+    return build_dataset(space_of(2), [monitor_vector(execution_time=t) for t in (100.0, 200.0)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda ds: feasible_rows(ds, WIDE_OPEN), ValueError),
+    (score_requirements, ValueError),
+    (lambda ds: validate(ds, make_report(ds, ["execution_time_s"], ["K0"]), WIDE_OPEN),
+     ConfigError),
+], ids=["feasible_rows", "score_requirements", "validate"])
+def test_underived_data_is_rejected(call, error):
+    with pytest.raises(error, match="dataset has no derived requirement values"):
+        call(_underived_pair())
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31),
@@ -356,6 +390,24 @@ def test_reduced_best_requires_selected_knobs_and_monitors(derived_dataset):
         reduced_best(derived_dataset, report)
 
 
+def test_reduced_best_rejects_a_report_without_monitors_or_with_unknown_knobs(derived_dataset):
+    report = make_report(derived_dataset, ["execution_time_s"], ["DVFS"])
+    with pytest.raises(ConfigError, match="reduction kept no monitors; nothing to rank on"):
+        reduced_best(derived_dataset, replace(report, kept_monitors=()))
+    report = make_report(derived_dataset, ["execution_time_s"], ["DVFS", "BOGUS"])
+    with pytest.raises(ConfigError, match=re.escape("selected knobs not in this space: ['BOGUS']")):
+        reduced_best(derived_dataset, report)
+
+
+def test_reduced_slice_of_one_row_is_rejected():
+    # K1 pinned at its baseline level 0 leaves one row, (0, 0): (1, 0) is absent
+    ds = SweepDataset(space_of(2, 2), [(0, 0), (0, 1), (1, 1)],
+                      [monitor_vector(execution_time=t) for t in (100.0, 200.0, 300.0)],
+                      [requirement_values()] * 3, requirement_spec=WIDE_OPEN)
+    with pytest.raises(ConfigError, match="reduced slice has fewer than two rows; cannot rank"):
+        reduced_best(ds, make_report(ds, ["execution_time_s"], ["K0"]))
+
+
 def test_reduced_best_rejects_unknown_monitors(derived_dataset):
     report = replace(make_report(derived_dataset, ["execution_time_s"], ["DVFS"]),
                      kept_monitors=("execution_time_s", "bogus"))
@@ -429,6 +481,24 @@ def test_validate_requires_baseline_row(derived_dataset, default_report):
     )
     with pytest.raises(ConfigError, match="baseline"):
         validate(no_baseline, default_report)
+
+
+@pytest.mark.parametrize("name, oracle, reduced, pct", [
+    ("cost", 0.0, 0.0, 0.0),
+    ("cost", 0.0, 3.0, -1.0),
+    ("availability", 1.0, 0.99, -1.0),  # no unavailability against some
+])
+def test_zero_oracle_value_caps_the_difference_at_one_unit(name, oracle, reduced, pct):
+    assert _percent_difference(name, oracle, reduced) == pct
+
+
+@pytest.mark.parametrize("name, baseline, picked, ratio", [
+    ("cost", 0.0, 0.0, 1.0),
+    ("cost", 5.0, 0.0, None),
+    ("availability", 0.99, 1.0, None),  # a pick with no unavailability
+])
+def test_zero_picked_value_has_a_ratio_only_against_zero(name, baseline, picked, ratio):
+    assert _improvement_ratio(name, baseline, picked) == ratio
 
 
 def test_improvement_ratios_are_finite_and_positive(derived_dataset, default_report):

@@ -219,6 +219,37 @@ def test_knob_space_rejects_non_finite_level_values(default_space, value):
         KnobSpace.from_json_dict(data)
 
 
+def _underived_pair() -> SweepDataset:
+    return build_dataset(space_of(2), [monitor_vector()] * 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: KnobSpace(()), ValueError,
+                 "knob space must contain at least one knob", id="empty space"),
+    pytest.param(lambda: KnobSpace(space_of(2).knobs * 2), ValueError,
+                 "knob names must be unique", id="duplicate knob names"),
+    pytest.param(lambda: space_of(2).knob("K9"), KeyError,
+                 "no knob named 'K9'", id="unknown knob"),
+    pytest.param(lambda: zscore([1.0]), ValueError,
+                 "zscore needs a 1-d series with at least 2 values", id="short series"),
+    pytest.param(lambda: zscore([[1.0, 2.0], [3.0, 4.0]]), ValueError,
+                 "zscore needs a 1-d series with at least 2 values", id="2-d series"),
+    pytest.param(lambda: SweepDataset(space_of(2), np.empty((0, 1), int), np.empty((0, 11))),
+                 ValueError, "dataset must contain at least one row", id="no rows"),
+    pytest.param(lambda: SweepDataset(space_of(2), [(0,), (1,)], [monitor_vector()[:10]] * 2),
+                 ValueError, "monitors must have shape (2, 11), got (2, 10)", id="wrong shape"),
+    pytest.param(lambda: _underived_pair().monitor_column("bogus"), KeyError,
+                 "unknown monitor 'bogus'", id="unknown monitor"),
+    pytest.param(lambda: _underived_pair().requirement_column("bogus"), KeyError,
+                 "unknown requirement 'bogus'", id="unknown requirement"),
+    pytest.param(lambda: _underived_pair().requirement_column("cost"), ValueError,
+                 "dataset has underived rows; derive requirements first", id="underived"),
+])
+def test_bad_argument_is_rejected_with_its_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_knob_space_json_round_trip(default_space):
     clone = KnobSpace.from_json_dict(default_space.to_json_dict())
     assert clone == default_space
