@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import __version__
 from .defaults import DEFAULT_SEED, default_effects, default_knob_space
 from .errors import (ConfigError, HpckitError, IngestionError, NoFeasibleConfigurationError,
-                     UnreachableTargetError, require_number)
+                     RowError, UnreachableTargetError, require_number)
 from .metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from .reducer import (
     DEFAULT_KNOB_THRESHOLD,
@@ -329,30 +329,19 @@ def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
     return _Dataset(ds, digest, seed)
 
 
-def _check_mc_iterations(args, ds: SweepDataset, spec: RequirementSpec) -> None:
-    """Reject ``ds`` when its recorded Monte Carlo iterations miss ``spec``'s floor."""
-    raw = ds.metadata.get("mc_iterations")
-    if raw is not None:
-        try:
-            iterations = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{args.dataset}: mc_iterations metadata is not a number: {raw!r}") from None
-        if not iterations >= spec.min_mc_iterations:
-            raise ConfigError(
-                f"{args.dataset}: dataset has mc_iterations {raw}, below the accuracy floor "
-                f"metrics.min_mc_iterations {spec.min_mc_iterations}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _stage(source: str, compute, *inputs):
-    """``compute(*inputs)``; a ValueError or UnreachableTargetError it raises blames ``source``."""
+def _stage(source: str, compute, *inputs, first_row: int = 0):
+    """``compute(*inputs)``; a ValueError or UnreachableTargetError it raises blames ``source``.
+
+    A row that breaks a dataset rule is numbered from ``first_row``.
+    """
     try:
         return compute(*inputs)
+    except RowError as exc:
+        raise ConfigError(f"{source}: row {exc.row + first_row}{exc.fault}") from exc
     except (ValueError, UnreachableTargetError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
@@ -388,8 +377,8 @@ def cmd_ingest(args, run: _Run) -> int:
 
 def cmd_derive(args, run: _Run) -> int:
     data = _load_dataset(args, run.space, derived=False)
-    _check_mc_iterations(args, data.ds, run.metrics[2])
-    derived = _stage(f"--dataset {args.dataset}", derive_dataset, data.ds, *run.metrics)
+    derived = _stage(f"--dataset {args.dataset}", derive_dataset, data.ds, *run.metrics,
+                     first_row=2)  # as ingest numbers the file's records
     derived.metadata["manifest"] = _manifest_comment(
         data.manifest(args, metrics=_metrics_json(*run.metrics)))
     export_csv(derived, args.out)
@@ -415,8 +404,8 @@ def cmd_reduce(args, run: _Run) -> int:
 
 def cmd_search(args, run: _Run) -> int:
     ds, _, _ = data = _load_dataset(args, run.space)
-    _check_mc_iterations(args, ds, run.metrics[2])
-    scores, order = rank_feasible(ds, run.metrics[2], run.analysis["weights"])
+    scores, order = _stage(f"--dataset {args.dataset}", rank_feasible, ds, run.metrics[2],
+                           run.analysis["weights"])
     best = RankedConfig.at(ds, order[0], scores)
     entries = [{"rank": rank, "score": float(scores[i]), **row_json_dict(ds, i)}
                for rank, i in enumerate(order[:args.top], start=1)]
@@ -442,8 +431,8 @@ def cmd_search(args, run: _Run) -> int:
 def cmd_validate(args, run: _Run) -> int:
     ds, _, _ = data = _load_dataset(args, run.space)
     report = _read_reduction(args.reduction)
-    _check_mc_iterations(args, ds, run.metrics[2])
-    result = validate(ds, report, run.metrics[2], run.baseline, run.analysis["weights"])
+    result = _stage(f"--dataset {args.dataset}", validate, ds, report, run.metrics[2],
+                    run.baseline, run.analysis["weights"])
 
     manifest = data.manifest(
         args, metrics=_metrics_json(*run.metrics), analysis={"weights": run.analysis["weights"]},

@@ -18,6 +18,14 @@ class IngestionError(HpckitError):
     """A sweep CSV could not be parsed or failed validation."""
 
 
+class RowError(ValueError):
+    """A dataset row breaks a rule: ``row`` is its index from 0, ``fault`` the message after it."""
+
+    def __init__(self, row: int, fault: str):
+        super().__init__(f"row {row}{fault}")
+        self.row, self.fault = row, fault
+
+
 class DegenerateSeriesError(HpckitError):
     """A series has zero variance where variation is required."""
 

@@ -60,8 +60,9 @@ class RequirementSpec:
 
     Performance, power and energy are upper bounds; availability is a
     lower bound; cost has no threshold and is only minimized. The
-    Monte Carlo iteration count is a fixed workload accuracy floor,
-    checked once per dataset rather than per configuration.
+    Monte Carlo iteration count is a workload accuracy floor, checked
+    once per dataset by ``check_mc_iterations``. A spec is an argument
+    of each call that applies it; a dataset carries none.
     """
 
     performance_max_s: float = 600.0
@@ -76,6 +77,17 @@ class RequirementSpec:
         if not 0.0 < require_number("availability_min", self.availability_min) < 1.0:
             raise ValueError("availability_min must lie in (0, 1)")
         require_int("min_mc_iterations", self.min_mc_iterations, 1)
+
+    def check_mc_iterations(self, ds: SweepDataset) -> None:
+        """Reject ``ds`` if its ``mc_iterations`` metadata is below the floor or is not a number."""
+        raw = ds.metadata.get("mc_iterations", "inf")
+        try:
+            iterations = float(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"mc_iterations metadata is not a number: {raw!r}") from None
+        if not iterations >= self.min_mc_iterations:
+            raise ValueError(f"dataset has mc_iterations {raw}, below the accuracy floor "
+                             f"metrics.min_mc_iterations {self.min_mc_iterations}")
 
 
 class CostBreakdown(NamedTuple):
@@ -166,16 +178,17 @@ def derive_dataset(
 ) -> SweepDataset:
     """Fill requirement values (and derived monitors) for every row.
 
+    First rejects a dataset whose Monte Carlo iterations miss the floor
+    of ``spec``, or of the default ``RequirementSpec()`` when it is None.
+
     The provisioned server count sets system MTBF (server MTBF divided by
     the count, a series model), capex and opex. Each step is the scalar
     formula applied elementwise, so every value is the float a per-row
     loop would give. The availability binomial stays the scalar
     ``system_availability`` over Python floats: a vectorised power
     differs from Python's ``**`` in the last bit.
-
-    When ``spec`` is given it is attached to the returned dataset so that
-    downstream feasibility filtering uses the same thresholds.
     """
+    (RequirementSpec() if spec is None else spec).check_mc_iterations(ds)
     monitors = ds.monitors
     col = {name: j for j, name in enumerate(MONITOR_NAMES)}
     performance = monitors[:, col["execution_time_s"]]
@@ -194,5 +207,4 @@ def derive_dataset(
     provisioned[:, col["opex"]] = cost.opex
     return replace(
         ds, monitors=provisioned, metadata=dict(ds.metadata),
-        requirements=np.column_stack([performance, power, energy, availability, cost.total]),
-        requirement_spec=ds.requirement_spec if spec is None else spec)
+        requirements=np.column_stack([performance, power, energy, availability, cost.total]))

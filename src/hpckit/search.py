@@ -114,11 +114,10 @@ def score_requirements(
 
 
 def _resolve_spec(dataset: SweepDataset, spec: RequirementSpec | None) -> RequirementSpec:
-    if spec is not None:
-        return spec
-    if isinstance(dataset.requirement_spec, RequirementSpec):
-        return dataset.requirement_spec
-    return RequirementSpec()
+    """``spec``, else the default thresholds, once ``dataset`` meets its Monte Carlo floor."""
+    spec = RequirementSpec() if spec is None else spec
+    spec.check_mc_iterations(dataset)
+    return spec
 
 
 def row_json_dict(dataset: SweepDataset, i: int) -> dict:

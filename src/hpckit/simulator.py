@@ -304,7 +304,10 @@ class SimulationResult:
 
 
 def _trimmed(values: list[float]) -> float:
-    """trimmed_mean of a non-empty list of floats."""
+    """Mean of a non-empty list of floats after dropping its smallest and largest value.
+
+    Fewer than three values are averaged whole.
+    """
     ordered = sorted(values)
     if len(ordered) >= 3:
         ordered = ordered[1:-1]
@@ -313,13 +316,6 @@ def _trimmed(values: list[float]) -> float:
         # round it through 3*t/3 and lose bit-exactness
         return ordered[0]
     return sum(ordered) / len(ordered)
-
-
-def trimmed_mean(values) -> float:
-    """Mean after dropping the single smallest and largest value."""
-    if not (values := list(map(float, values))):
-        raise ValueError("trimmed_mean needs at least one value")
-    return _trimmed(values)
 
 
 DEFAULT_INTERVALS = 7

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, DegenerateSeriesError, IngestionError, require_int, require_number
+from .errors import (FINITE, DegenerateSeriesError, IngestionError, RowError, require_int,
+                     require_number)
 
 # Canonical monitor order: (csv column name, short name in check messages).
 MONITOR_FIELDS: tuple[tuple[str, str], ...] = (
@@ -59,6 +60,8 @@ _FLOAT_FMT = ".12g"
 def _require_name(what: str, value) -> None:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} must be a non-empty string, got {value!r}")
+    if "\r" in value or "\n" in value:  # a CSV line could not hold it
+        raise ValueError(f"{what} may not contain a line break, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,6 @@ class KnobSpace:
             if k.name == name:
                 return i
         raise KeyError(f"no knob named {name!r}")
-
-    def size(self) -> int:
-        n = 1
-        for k in self.knobs:
-            n *= len(k.levels)
-        return n
 
     def baseline_configuration(self) -> "Configuration":
         return Configuration(tuple(k.baseline for k in self.knobs))
@@ -269,17 +266,17 @@ _REQUIREMENT_RULES = (
       for a in _NON_NEGATIVE_REQUIREMENTS),
     (_energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
 )
-_DUPLICATE_RULE = (_repeats, "row {row}: duplicate configuration {config}")
+_DUPLICATE_RULE = (_repeats, ": duplicate configuration {config}")
 
 
 def _rules(space: KnobSpace, derived: bool, parsed: bool = False) -> tuple:
-    """The full rule table in reporting order, each message naming its row.
+    """The full rule table in reporting order, each message the text after its row number.
 
     Rows read from a file meet their cell, duplicate and number faults
     first; rows built in memory meet the duplicate rule last, after the
     level range rules, which name a level that is out of range.
     """
-    values = tuple((bad, "row {row}: " + message) for bad, message in (
+    values = tuple((bad, ": " + message) for bad, message in (
         *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
           for j in range(len(space.knobs))),
         *_MONITOR_RULES,
@@ -290,18 +287,18 @@ def _rules(space: KnobSpace, derived: bool, parsed: bool = False) -> tuple:
     ))
     if not parsed:
         return (*values, _DUPLICATE_RULE)
-    return ((lambda c: c["cells"] != "", "row {row}: {cells}"), _DUPLICATE_RULE,
-            (lambda c: c["numbers"] != "", "row {row}, column {numbers}"), *values)
+    return ((lambda c: c["cells"] != "", ": {cells}"), _DUPLICATE_RULE,
+            (lambda c: c["numbers"] != "", ", column {numbers}"), *values)
 
 
 def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
-                 requirements: np.ndarray | None, first_row: int = 0, **faults) -> str | None:
-    """The message of the first rule broken by the first bad row, or None.
+                 requirements: np.ndarray | None, **faults) -> tuple[int, str] | None:
+    """The first bad row's index and the message of the first rule it breaks, or None.
 
-    Rows are numbered from ``first_row``. For rows read from a file,
-    ``faults`` maps "cells" and "numbers" to each row's first such parse
-    fault. Each rule is applied once, to the rows before the first bad row
-    found so far.
+    The message is the text after the row number. For rows read from a
+    file, ``faults`` maps "cells" and "numbers" to each row's first such
+    parse fault. Each rule is applied once, to the rows before the first
+    bad row found so far.
     """
     # the mixed-radix enumeration rank; a level out of range is clipped
     # here and named by its own rule
@@ -323,7 +320,7 @@ def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
         return None
     # Python values, so a float renders as 1.0, not np.float64(1.0)
     row = {name: column[i:i + 1].tolist()[0] for name, column in c.items()}
-    return message.format(row=i + first_row, knobs=space.names, config=tuple(row["levels"]), **row)
+    return i, message.format(knobs=space.names, config=tuple(row["levels"]), **row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,10 +335,8 @@ class SweepDataset:
     ``enumerate_configs(space)``. Every column is checked once here.
 
     ``metadata`` holds provenance strings (seed, parameter hash) which
-    are written out as comment lines in the CSV form.
-    ``requirement_spec`` optionally pins the feasibility thresholds the
-    dataset was built against; ranking falls back to defaults when it
-    is absent.
+    are written out as comment lines in the CSV form. A row that breaks
+    a rule raises RowError, naming the row's index.
     """
 
     space: KnobSpace
@@ -349,7 +344,6 @@ class SweepDataset:
     monitors: np.ndarray
     requirements: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
-    requirement_spec: object | None = None
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -366,7 +360,7 @@ class SweepDataset:
                 arr.setflags(write=False)
                 object.__setattr__(self, what, arr)
         if fault := _first_fault(self.space, self.levels, self.monitors, self.requirements):
-            raise ValueError(fault)
+            raise RowError(*fault)
         rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs])
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
@@ -477,19 +471,20 @@ def ingest_csv(path_or_file, space: KnobSpace) -> SweepDataset:
 def split_metadata(lines) -> tuple[dict[str, str], list[str]]:
     """Split sweep CSV lines into comment metadata and non-blank data lines.
 
-    Reads back exactly what the writer's ``# key: value`` lines hold.
-    Comment lines without a ``:`` carry no metadata and are skipped.
+    Metadata is read only above the header, exactly as the writer's
+    ``# key: value`` lines hold it; comment lines there without a ``:``
+    carry none. From the header on, every non-blank line is data.
     """
     metadata = {}
     data = []
     for line in lines:
-        if line.startswith("#"):
-            body = line[1:].rstrip("\r\n")
-            key, sep, value = body.removeprefix(" ").partition(":")
-            if sep:
-                metadata[key] = value.removeprefix(" ")
-        elif line.strip():
-            data.append(line)
+        if data or not line.startswith("#"):
+            if line.strip():
+                data.append(line)
+            continue
+        key, sep, value = line[1:].rstrip("\r\n").removeprefix(" ").partition(":")
+        if sep:
+            metadata[key] = value.removeprefix(" ")
     return metadata, data
 
 
@@ -556,8 +551,8 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     levels, numbers = (np.concatenate(part) for part in zip(*blocks))
     monitors = numbers[:, :len(mon_cols)]
     requirements = numbers[:, len(mon_cols):] if req_cols else None
-    # records are numbered as in the file, the header being row 1
-    if fault := _first_fault(space, levels, monitors, requirements, first_row=2,
+    if fault := _first_fault(space, levels, monitors, requirements,
                              cells=cell_faults, numbers=number_faults):
-        raise IngestionError(fault)
+        row, message = fault
+        raise IngestionError(f"row {row + 2}{message}")  # as in the file, the header row 1
     return SweepDataset(space, levels, monitors, requirements, metadata)

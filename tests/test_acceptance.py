@@ -258,7 +258,7 @@ def test_criterion_08_perfect_proxies_give_zero_gap():
         energy_max_j=1e12,
         availability_min=1e-6,
     )
-    ds = proxy_dataset(spec)
+    ds = proxy_dataset()
     result = validate(ds, proxy_report(ds), spec)
     ok = result.max_negative_pct == 0.0 and result.picks_agree
     line = _verdict(

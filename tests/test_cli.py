@@ -749,6 +749,7 @@ def test_space_with_a_non_finite_level_value_exits_one(tmp_path, capsys, value):
     ("name", None, "knob name must be a non-empty string, got None"),
     ("label", 1, "knob level label must be a non-empty string, got 1"),
     ("label", True, "knob level label must be a non-empty string, got True"),
+    ("label", "a\n\nb", "knob level label may not contain a line break, got 'a\\n\\nb'"),
 ])
 @pytest.mark.parametrize("source", ["--space", "config"])
 def test_space_values_are_checked_not_coerced(tmp_path, capsys, source, where, value, message):
@@ -999,8 +1000,54 @@ def test_derive_overflow_exits_one_naming_the_dataset(tmp_path, capsys):
     assert run("derive", "--dataset", overflow, "--out", out) == 1
     err = capsys.readouterr().err
     assert err == (f"hpckit: error: --dataset {overflow}: "
-                   "row 0: monitor opex must be finite, got inf\n"), err
+                   "row 2: monitor opex must be finite, got inf\n"), err
     assert not out.exists()
+
+
+def test_derive_and_ingest_number_a_bad_record_alike(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    assert run("simulate", "--out", sweep) == 0
+    lines = sweep.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[header].rstrip("\n").split(",")
+
+    def second_record_with(name, **cells):
+        record = lines[header + 2].rstrip("\n").split(",")
+        for monitor, value in cells.items():
+            record[names.index(f"mon:{monitor}")] = value
+        path = tmp_path / name
+        path.write_text("".join(lines[:header + 2]) + ",".join(record) + "\n")
+        return path
+
+    # the second record, row 3 with the header as row 1
+    overflow = second_record_with("overflow.csv", execution_time_s="1e300", cpu_power_w="1e10",
+                                  peak_power_w="2e10")
+    nan = second_record_with("nan.csv", execution_time_s="nan")
+    capsys.readouterr()
+    assert run("derive", "--dataset", overflow, "--out", tmp_path / "d.csv") == 1
+    assert run("ingest", "--dataset", nan) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"hpckit: error: --dataset {overflow}: row 3: monitor opex must be finite, got inf",
+        f"hpckit: ingestion error: {nan}: row 3, column mon:execution_time_s: "
+        "non-finite value 'nan'",
+    ]
+
+
+def test_monte_carlo_floor_fault_names_the_dataset_flag(tmp_path, capsys):
+    paths = run_pipeline(tmp_path)  # 20000 iterations by default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metrics": {"min_mc_iterations": 30000}}))
+    capsys.readouterr()
+    for stage, dataset, argv in (
+        ("derive", paths["sweep"], ["--out", tmp_path / "d.csv"]),
+        ("search", paths["derived"], ["--out", tmp_path / "s.json"]),
+        ("validate", paths["derived"], ["--reduction", paths["reduction"],
+                                        "--out", tmp_path / "v.json"]),
+    ):
+        assert run("--config", cfg, stage, "--dataset", dataset, *argv) == 1, stage
+        assert capsys.readouterr().err == (
+            f"hpckit: error: --dataset {dataset}: dataset has mc_iterations 20000, below the "
+            "accuracy floor metrics.min_mc_iterations 30000\n"), stage
 
 
 @pytest.mark.parametrize("seed", ["--5", "\u00b2"])

@@ -420,7 +420,7 @@ def test_reduce_thresholds_echoed_in_report(derived_dataset):
 
 def _permuted(ds: SweepDataset, order) -> SweepDataset:
     return SweepDataset(ds.space, ds.levels[order], ds.monitors[order], ds.requirements[order],
-                        dict(ds.metadata), ds.requirement_spec)
+                        dict(ds.metadata))
 
 
 def test_reduce_default_dataset_is_permutation_stable(derived_dataset, default_report):

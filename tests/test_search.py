@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hpckit.cli import render_validation
 from hpckit.errors import ConfigError, NoFeasibleConfigurationError
-from hpckit.metrics import RequirementSpec
+from hpckit.metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from hpckit.search import (
     HIGHER_IS_BETTER,
     _improvement_ratio,
@@ -132,7 +132,6 @@ def _scored_dataset(perf, power, avail, cost):
         np.asarray(power, dtype=float),
         np.asarray(avail, dtype=float),
         np.asarray(cost, dtype=float),
-        spec=WIDE_OPEN,
     )
 
 
@@ -199,12 +198,12 @@ def test_custom_weights_change_the_ranking():
         [0.99] * 4,
         [5000.0] * 4,
     )
-    by_perf = oracle_best(ds, weights={"performance_s": 1.0, "power_w": 0.0,
-                                       "energy_j": 0.0, "availability": 0.0,
-                                       "cost": 0.0})
-    by_power = oracle_best(ds, weights={"performance_s": 0.0, "power_w": 1.0,
-                                        "energy_j": 0.0, "availability": 0.0,
-                                        "cost": 0.0})
+    by_perf = oracle_best(ds, WIDE_OPEN, weights={"performance_s": 1.0, "power_w": 0.0,
+                                                  "energy_j": 0.0, "availability": 0.0,
+                                                  "cost": 0.0})
+    by_power = oracle_best(ds, WIDE_OPEN, weights={"performance_s": 0.0, "power_w": 1.0,
+                                                   "energy_j": 0.0, "availability": 0.0,
+                                                   "cost": 0.0})
     assert _requirements(ds, by_perf.index).performance == 100.0
     assert _requirements(ds, by_power.index).power == 40.0
 
@@ -262,10 +261,10 @@ def test_oracle_pick_survives_power_of_two_rescaling(seed, k1, k2):
     power = rng.uniform(40.0, 80.0, 16)
     avail = rng.uniform(0.9, 0.999, 16)
     cost = rng.uniform(1e3, 1e4, 16)
-    base = oracle_best(_scored_dataset(perf, power, avail, cost))
+    base = oracle_best(_scored_dataset(perf, power, avail, cost), WIDE_OPEN)
     scaled = oracle_best(_scored_dataset(
         perf * 2.0**k1, power * 2.0**k2, avail, cost * 2.0**k1,
-    ))
+    ), WIDE_OPEN)
     assert scaled.config == base.config
 
 
@@ -275,20 +274,19 @@ def test_oracle_pick_survives_power_of_two_rescaling(seed, k1, k2):
 def test_single_row_feasible_dataset_returns_that_row():
     ds = build_dataset(
         space_of(2), [monitor_vector(), monitor_vector()],
-        [requirement_values(), requirement_values()], spec=WIDE_OPEN,
+        [requirement_values(), requirement_values()],
     )
-    single = SweepDataset(ds.space, ds.levels[:1], ds.monitors[:1], ds.requirements[:1],
-                          requirement_spec=WIDE_OPEN)
-    best = oracle_best(single)
+    single = SweepDataset(ds.space, ds.levels[:1], ds.monitors[:1], ds.requirements[:1])
+    best = oracle_best(single, WIDE_OPEN)
     assert best.index == 0
     assert is_feasible(single.requirements[best.index], WIDE_OPEN)
 
 
 def test_single_infeasible_row_raises():
     ds = SweepDataset(space_of(2), [(0,)], [monitor_vector()],
-                      [requirement_values(performance=1e4, power=81.0)], requirement_spec=TABLE_SPEC)
+                      [requirement_values(performance=1e4, power=81.0)])
     with pytest.raises(NoFeasibleConfigurationError):
-        oracle_best(ds)
+        oracle_best(ds, TABLE_SPEC)
 
 
 def test_unique_feasible_row_wins_regardless_of_score():
@@ -333,7 +331,7 @@ def test_no_feasible_row_names_least_violating():
 
 
 def test_oracle_matches_independent_brute_force(derived_dataset):
-    spec = derived_dataset.requirement_spec
+    spec = RequirementSpec()
     rows = [named(r, REQUIREMENT_FIELDS) for r in derived_dataset.requirements.tolist()]
 
     def z(xs):
@@ -360,7 +358,7 @@ def test_oracle_matches_independent_brute_force(derived_dataset):
     assert candidates, "default dataset must contain feasible rows"
     winner = min(candidates, key=lambda i: (scores[i], i))
 
-    best = oracle_best(derived_dataset)
+    best = oracle_best(derived_dataset, spec)
     assert best.config == derived_dataset.config(winner)
     assert math.isclose(best.score, scores[winner], rel_tol=1e-9, abs_tol=1e-12)
 
@@ -377,9 +375,9 @@ def test_two_row_slice_picks_better_monitor_value():
         p = perf[config.levels]
         mons.append(monitor_vector(execution_time=p))
         reqs.append(requirement_values(performance=p))
-    ds = build_dataset(space, mons, reqs, spec=WIDE_OPEN)
+    ds = build_dataset(space, mons, reqs)
     report = make_report(ds, ["execution_time_s"], ["K0"])
-    best = reduced_best(ds, report)
+    best = reduced_best(ds, report, WIDE_OPEN)
     # slice fixes K1 at baseline: rows (0,0) and (1,0); (1,0) runs faster
     assert best.config.levels == (1, 0)
 
@@ -403,9 +401,9 @@ def test_reduced_slice_of_one_row_is_rejected():
     # K1 pinned at its baseline level 0 leaves one row, (0, 0): (1, 0) is absent
     ds = SweepDataset(space_of(2, 2), [(0, 0), (0, 1), (1, 1)],
                       [monitor_vector(execution_time=t) for t in (100.0, 200.0, 300.0)],
-                      [requirement_values()] * 3, requirement_spec=WIDE_OPEN)
+                      [requirement_values()] * 3)
     with pytest.raises(ConfigError, match="reduced slice has fewer than two rows; cannot rank"):
-        reduced_best(ds, make_report(ds, ["execution_time_s"], ["K0"]))
+        reduced_best(ds, make_report(ds, ["execution_time_s"], ["K0"]), WIDE_OPEN)
 
 
 def test_reduced_best_rejects_unknown_monitors(derived_dataset):
@@ -421,12 +419,12 @@ def test_higher_is_better_names_only_sweep_columns():
 
 
 def test_perfect_proxies_reach_the_oracle_exactly():
-    ds = proxy_dataset(spec=WIDE_OPEN)
+    ds = proxy_dataset()
     report = proxy_report(ds)
-    oracle = oracle_best(ds)
-    reduced = reduced_best(ds, report)
+    oracle = oracle_best(ds, WIDE_OPEN)
+    reduced = reduced_best(ds, report, WIDE_OPEN)
     assert reduced.config == oracle.config
-    result = validate(ds, report)
+    result = validate(ds, report, WIDE_OPEN)
     assert result.picks_agree
     assert result.max_negative_pct == 0.0
     assert all(p == 0.0 for p in result.percent_differences.values())
@@ -438,7 +436,7 @@ def test_perfect_proxies_reach_the_oracle_exactly():
 def test_default_dataset_gap_within_five_percent(derived_dataset, default_report):
     result = validate(derived_dataset, default_report)
     assert result.max_negative_pct <= 0.05
-    feasible = feasible_rows(derived_dataset, derived_dataset.requirement_spec)
+    feasible = feasible_rows(derived_dataset, RequirementSpec())
     assert feasible[result.oracle.index] and feasible[result.reduced.index]
 
 
@@ -457,9 +455,9 @@ def test_reduced_five_percent_slower_gives_exact_gap():
         mons.append(monitor_vector(execution_time=p))
         reqs.append(requirement_values(performance=p, power=80.0, cost=c,
                                        availability=0.99))
-    ds = build_dataset(space, mons, reqs, spec=WIDE_OPEN)
+    ds = build_dataset(space, mons, reqs)
     report = make_report(ds, ["execution_time_s"], ["K0"])
-    result = validate(ds, report)
+    result = validate(ds, report, WIDE_OPEN)
     assert _requirements(ds, result.oracle.index).performance == 100.0
     assert _requirements(ds, result.reduced.index).performance == 105.0
     assert not result.picks_agree
@@ -477,7 +475,6 @@ def test_validate_requires_baseline_row(derived_dataset, default_report):
         derived_dataset.monitors[rows],
         derived_dataset.requirements[rows],
         dict(derived_dataset.metadata),
-        derived_dataset.requirement_spec,
     )
     with pytest.raises(ConfigError, match="baseline"):
         validate(no_baseline, default_report)
@@ -528,14 +525,34 @@ def test_reduced_search_never_beats_oracle_on_random_datasets(seed):
     power = np.clip(60.0 + 8.0 * rng.normal(0.0, 1.0, 16), 10.0, None)
     avail = np.clip(0.95 + 0.02 * base, 0.0, 1.0)
     cost = np.clip(5000.0 + 500.0 * base + rng.normal(0.0, 200.0, 16), 100.0, None)
-    ds = dataset_from_requirements(perf, power, avail, cost,
-                                   monitor_seed=seed, spec=WIDE_OPEN)
+    ds = dataset_from_requirements(perf, power, avail, cost, monitor_seed=seed)
     report = make_report(ds, ["execution_time_s", "cpu_power_w"], ["K0", "K1"])
-    result = validate(ds, report)
+    result = validate(ds, report, WIDE_OPEN)
     assert result.max_negative_pct >= 0.0
     scores = score_requirements(ds)
     reduced_index = ds.index_of(result.reduced.config)
     assert result.oracle.score <= scores[reduced_index] + 1e-12
+
+
+@pytest.mark.parametrize("recorded, spec, message", [
+    ("20000", RequirementSpec(min_mc_iterations=30000),
+     "dataset has mc_iterations 20000, below the accuracy floor metrics.min_mc_iterations 30000"),
+    ("9999", None,
+     "dataset has mc_iterations 9999, below the accuracy floor metrics.min_mc_iterations 10000"),
+    ("lots", None, "mc_iterations metadata is not a number: 'lots'"),
+], ids=["below the given floor", "below the default floor", "not a number"])
+@pytest.mark.parametrize("call", [
+    lambda ds, spec: derive_dataset(ds, AvailabilityModel(), CostModel(), spec),
+    lambda ds, spec: rank_feasible(ds, spec),
+    lambda ds, spec: reduced_best(ds, make_report(ds, ["execution_time_s"], ["DVFS"]), spec),
+    lambda ds, spec: validate(ds, make_report(ds, ["execution_time_s"], ["DVFS"]), spec),
+], ids=["derive_dataset", "rank_feasible", "reduced_best", "validate"])
+def test_dataset_below_the_monte_carlo_floor_is_rejected(derived_dataset, call, recorded, spec,
+                                                         message):
+    ds = replace(derived_dataset, metadata={**derived_dataset.metadata, "mc_iterations": recorded})
+    with pytest.raises(ValueError) as exc:
+        call(ds, spec)
+    assert str(exc.value) == message
 
 
 def test_validation_result_serialization(derived_dataset, default_report):

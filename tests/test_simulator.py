@@ -28,19 +28,20 @@ from hpckit.simulator import (
     _rank_seed_type,
     _stream,
     _stream_words,
+    _trimmed,
     classify_fault_outcome,
     combine_effects,
     generate_sweep,
     interval_time,
     parameters_digest,
     simulate_config_detailed,
-    trimmed_mean,
 )
 from hpckit.sweep import (
     Configuration,
     KnobDef,
     KnobLevel,
     KnobSpace,
+    enumerate_configs,
     enumeration_rank,
     export_csv_string,
 )
@@ -143,27 +144,25 @@ def test_classification_trichotomy(delay, finish, deadline, remaining, required)
 
 
 def test_trimmed_mean_drops_extremes():
-    assert trimmed_mean([10.0, 11.0, 12.0, 13.0, 50.0]) == 12.0
+    assert _trimmed([10.0, 11.0, 12.0, 13.0, 50.0]) == 12.0
 
 
 def test_trimmed_mean_small_inputs():
-    assert trimmed_mean([5.0]) == 5.0
-    assert trimmed_mean([3.0, 9.0]) == 6.0
-    with pytest.raises(ValueError):
-        trimmed_mean([])
+    assert _trimmed([5.0]) == 5.0
+    assert _trimmed([3.0, 9.0]) == 6.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1, max_size=20))
 def test_trimmed_mean_lies_within_range(values):
-    tm = trimmed_mean(values)
+    tm = _trimmed(values)
     assert min(values) <= tm <= max(values)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e9), st.integers(min_value=1, max_value=9))
 def test_trimmed_mean_of_identical_values_is_exact(value, count):
-    assert trimmed_mean([value] * count) == value
+    assert _trimmed([value] * count) == value
 
 
 # ------------------------------------------------------------------ fault model
@@ -230,9 +229,9 @@ def test_simulation_rejects_too_few_intervals(default_space):
 
 
 def test_workload_params_enforce_accuracy_floor():
-    # the configurable floor, metrics.min_mc_iterations, is checked by the
-    # CLI stages against the dataset (see test_cli); the workload itself
-    # only needs at least one iteration
+    # the configurable floor, metrics.min_mc_iterations, is checked against
+    # the dataset by RequirementSpec.check_mc_iterations (see test_search);
+    # the workload itself only needs at least one iteration
     WorkloadParams(mc_iterations=1)
     with pytest.raises(ValueError):
         WorkloadParams(mc_iterations=0)
@@ -374,7 +373,7 @@ def test_redundancy_trades_time_for_reliability(front, seed):
 
 def test_default_space_sweep_has_128_rows(raw_dataset):
     assert len(raw_dataset) == 128
-    assert len(raw_dataset) == raw_dataset.space.size()
+    assert len(raw_dataset) == len(enumerate_configs(raw_dataset.space))
     assert not raw_dataset.is_derived
 
 
@@ -411,7 +410,7 @@ def test_success_fraction_accounting_matches_interval_log():
     ]
     for space, params, fault in cases:
         ds = generate_sweep(space, params, effects, fault, seed=5)
-        assert len(ds) == space.size()
+        assert len(ds) == len(enumerate_configs(space))
         good = 0
         total = 0
         records = []

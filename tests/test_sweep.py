@@ -21,10 +21,11 @@ from hpckit.defaults import (
     default_requirement_spec,
     default_workload,
 )
-from hpckit.errors import DegenerateSeriesError, IngestionError
-from hpckit.metrics import derive_dataset
+from hpckit.errors import (DegenerateSeriesError, IngestionError, NoFeasibleConfigurationError,
+                           RowError)
+from hpckit.metrics import RequirementSpec, derive_dataset
 from hpckit.reducer import reduce
-from hpckit.search import oracle_best, validate
+from hpckit.search import feasible_rows, oracle_best, validate
 from hpckit.simulator import generate_sweep
 from hpckit.sweep import (
     MONITOR_FIELDS,
@@ -50,7 +51,6 @@ from util import build_dataset, monitor_vector, requirement_values, space_of
 def test_default_space_enumerates_128_configs(default_space):
     configs = enumerate_configs(default_space)
     assert len(configs) == 128
-    assert default_space.size() == 128
 
 
 def test_single_binary_knob_enumerates_two_configs():
@@ -228,6 +228,11 @@ def _underived_pair() -> SweepDataset:
                  "knob space must contain at least one knob", id="empty space"),
     pytest.param(lambda: KnobSpace(space_of(2).knobs * 2), ValueError,
                  "knob names must be unique", id="duplicate knob names"),
+    pytest.param(lambda: KnobLevel("a\n\nb"), ValueError,
+                 "knob level label may not contain a line break, got 'a\\n\\nb'",
+                 id="line break in a label"),
+    pytest.param(lambda: KnobDef("K\r", space_of(2).knobs[0].levels, 0), ValueError,
+                 "knob name may not contain a line break, got 'K\\r'", id="line break in a name"),
     pytest.param(lambda: space_of(2).knob("K9"), KeyError,
                  "no knob named 'K9'", id="unknown knob"),
     pytest.param(lambda: zscore([1.0]), ValueError,
@@ -278,6 +283,13 @@ def test_monitor_vector_rejects_non_finite_values():
         _one_row(monitor_vector(ipc=float("nan")))
 
 
+def test_row_fault_keeps_the_index_of_its_row():
+    with pytest.raises(RowError) as exc:
+        build_dataset(space_of(3), [monitor_vector()] * 2 + [monitor_vector(ipc=math.nan)])
+    assert (exc.value.row, exc.value.fault) == (2, ": monitor ipc must be finite, got nan")
+    assert str(exc.value) == "row 2: monitor ipc must be finite, got nan"
+
+
 def test_requirement_values_reject_energy_mismatch():
     with pytest.raises(ValueError, match=re.escape("(4000.0 vs 5000.0)")):
         _one_row(monitor_vector(), requirement_values(
@@ -310,7 +322,7 @@ def _assert_same_dataset(a, b):
 def test_round_trip_of_simulated_sweep(raw_dataset):
     text = export_csv_string(raw_dataset)
     back = ingest_csv(io.StringIO(text), raw_dataset.space)
-    assert len(back) == back.space.size() == 128
+    assert len(back) == len(enumerate_configs(back.space)) == 128
     _assert_same_dataset(raw_dataset, back)
     # after one rendering pass the decimal form is a fixed point
     assert export_csv_string(back) == text
@@ -322,6 +334,47 @@ def test_round_trip_of_derived_sweep(derived_dataset):
     assert back.is_derived
     _assert_same_dataset(derived_dataset, back)
     assert export_csv_string(back) == text
+
+
+def test_labels_that_start_with_a_hash_round_trip_every_row():
+    space = KnobSpace((KnobDef("A", (KnobLevel("#a"), KnobLevel("b")), 0),
+                       KnobDef("B", (KnobLevel("c"), KnobLevel("#d")), 0)))
+    ds = build_dataset(space, [monitor_vector()] * 4, metadata={"seed": "3"})
+    text = export_csv_string(ds)
+    assert text.count("\n#") == 2  # two records begin with '#a'
+    back = ingest_csv(io.StringIO(text), space)
+    assert len(back) == 4
+    _assert_same_dataset(ds, back)
+
+
+def test_comment_line_after_the_header_is_a_row_fault():
+    ds = build_dataset(space_of(2), [monitor_vector()] * 2)
+    header, first, second = export_csv_string(ds).splitlines(keepends=True)
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(io.StringIO(header + first + "# seed: 3\n" + second), ds.space)
+    assert str(exc.value) == "row 3: expected 12 cells, got 1"
+
+
+@pytest.mark.parametrize("spec, feasible", [
+    (RequirementSpec(performance_max_s=300.0), 0),
+    (None, 32),
+], ids=["performance at most 300 s", "default thresholds"])
+def test_oracle_outcome_survives_the_csv_round_trip(spec, feasible):
+    raw = generate_sweep(default_knob_space(), default_workload(), default_effects(),
+                         default_fault_model(), 12)
+    derived = derive_dataset(raw, default_availability_model(), default_cost_model(), spec)
+    back = ingest_csv(io.StringIO(export_csv_string(derived)), derived.space)
+    outcomes = []
+    for ds in (derived, back):
+        assert feasible_rows(ds, spec or RequirementSpec()).sum() == feasible
+        try:
+            best = oracle_best(ds, spec)
+            outcomes.append((best.config, best.score))
+        except NoFeasibleConfigurationError as exc:
+            outcomes.append((exc.least_violating, exc.violation))
+    (config, value), (config_back, value_back) = outcomes
+    assert config_back == config
+    assert math.isclose(value_back, value, rel_tol=1e-9)
 
 
 positive = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False, width=64)

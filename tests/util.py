@@ -90,18 +90,17 @@ def build_dataset(
     monitor_rows,
     requirement_rows=None,
     metadata=None,
-    spec=None,
 ) -> SweepDataset:
     """Dataset over the full enumeration of ``space`` with given row values."""
     configs = enumerate_configs(space)
     if len(monitor_rows) != len(configs):
         raise ValueError("one monitor vector per enumerated configuration required")
     return SweepDataset(space, [c.levels for c in configs], monitor_rows, requirement_rows,
-                        metadata or {}, requirement_spec=spec)
+                        metadata or {})
 
 
 def dataset_from_requirements(
-    perf, power, availability, cost, monitor_seed: int = 0, spec=None
+    perf, power, availability, cost, monitor_seed: int = 0
 ) -> SweepDataset:
     """Derived dataset with prescribed requirement columns.
 
@@ -137,7 +136,7 @@ def dataset_from_requirements(
                 cost=float(cost[i]),
             )
         )
-    return build_dataset(space, mons, reqs, spec=spec)
+    return build_dataset(space, mons, reqs)
 
 
 def _factor_sizes(n: int) -> tuple[int, ...]:
@@ -191,7 +190,7 @@ PROXY_PAIRS = (
 )
 
 
-def proxy_dataset(spec=None) -> SweepDataset:
+def proxy_dataset() -> SweepDataset:
     """8-row dataset whose monitors are exact proxies of the requirements.
 
     execution_time equals performance; cpu_power is power / 2; capex is
@@ -226,7 +225,7 @@ def proxy_dataset(spec=None) -> SweepDataset:
                 opex=cost / 2.0**5,
             )
         )
-    return build_dataset(space, mons, reqs, spec=spec)
+    return build_dataset(space, mons, reqs)
 
 
 def proxy_report(ds: SweepDataset) -> ReductionReport:
