@@ -103,14 +103,16 @@ def load_config(path: str | None) -> dict:
     return {name: section for name, section in data.items() if section is not None}
 
 
+def _space(data, where: str) -> KnobSpace:
+    try:
+        return KnobSpace.from_json_dict(data)
+    except ValueError as exc:  # from_json_dict turns a KeyError or TypeError into one
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def build_space(cfg: dict) -> KnobSpace:
     section = cfg.get("space")
-    if section is None:
-        return default_knob_space()
-    try:
-        return KnobSpace.from_json_dict(section)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config section 'space': {exc}") from exc
+    return default_knob_space() if section is None else _space(section, "config section 'space'")
 
 
 def build_workload(cfg: dict) -> WorkloadParams:
@@ -204,10 +206,7 @@ def _resolve(args, cfg: dict) -> _Run:
     metrics = build_metrics(cfg)
     analysis = build_analysis(cfg)
     if getattr(args, "space", None):
-        try:
-            space = KnobSpace.from_json_dict(_read_json(args.space, "--space"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"--space {args.space}: {exc}") from exc
+        space = _space(_read_json(args.space, "--space"), f"--space {args.space}")
     if getattr(args, "params", None):
         workload = _override(workload, _read_json(args.params, "--params"),
                              f"--params {args.params}")

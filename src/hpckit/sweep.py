@@ -266,17 +266,15 @@ _REQUIREMENT_RULES = (
       for a in _NON_NEGATIVE_REQUIREMENTS),
     (_energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
 )
-_DUPLICATE_RULE = (_repeats, ": duplicate configuration {config}")
 
 
-def _rules(space: KnobSpace, derived: bool, parsed: bool = False) -> tuple:
-    """The full rule table in reporting order, each message the text after its row number.
+def _rules(space: KnobSpace, derived: bool) -> tuple:
+    """The rule table in reporting order: level signs, values, level ranges, then repeats.
 
-    Rows read from a file meet their cell, duplicate and number faults
-    first; rows built in memory meet the duplicate rule last, after the
-    level range rules, which name a level that is out of range.
+    A level range rule names a level that is out of range, and a repeated
+    row is named for any other fault it has.
     """
-    values = tuple((bad, ": " + message) for bad, message in (
+    return (
         *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
           for j in range(len(space.knobs))),
         *_MONITOR_RULES,
@@ -284,35 +282,24 @@ def _rules(space: KnobSpace, derived: bool, parsed: bool = False) -> tuple:
         *((lambda c, j=j, size=len(knob.levels): c["levels"][:, j] >= size,
            f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}")
           for j, knob in enumerate(space.knobs)),
-    ))
-    if not parsed:
-        return (*values, _DUPLICATE_RULE)
-    return ((lambda c: c["cells"] != "", ": {cells}"), _DUPLICATE_RULE,
-            (lambda c: c["numbers"] != "", ", column {numbers}"), *values)
+        (_repeats, "duplicate configuration {config}"),
+    )
 
 
-def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
-                 requirements: np.ndarray | None, **faults) -> tuple[int, str] | None:
-    """The first bad row's index and the message of the first rule it breaks, or None.
+def _first_fault(space: KnobSpace, rank: np.ndarray, levels: np.ndarray, monitors: np.ndarray,
+                 requirements: np.ndarray | None) -> tuple[int, str] | None:
+    """The first bad row's index and ": " plus the first rule it breaks, or None.
 
-    The message is the text after the row number. For rows read from a
-    file, ``faults`` maps "cells" and "numbers" to each row's first such
-    parse fault. Each rule is applied once, to the rows before the first
-    bad row found so far.
+    ``rank`` is each row's enumeration rank, a level out of range clipped.
+    Each rule is applied once, to the rows before the first bad row found so far.
     """
-    # the mixed-radix enumeration rank; a level out of range is clipped
-    # here and named by its own rule
-    rank = np.ravel_multi_index(levels.T, [len(k.levels) for k in space.knobs], mode="clip")
     c = {"levels": levels, "rank": rank, **dict(zip(_MONITOR_ATTRS, monitors.T))}
     if requirements is not None:
         c.update(zip(_REQUIREMENT_ATTRS, requirements.T))
         with np.errstate(over="ignore", invalid="ignore"):
             c["product"] = c["performance"] * c["power"]
-    for kind, texts in faults.items():
-        c[kind] = np.full(len(levels), "", dtype=object)
-        c[kind][list(texts)] = list(texts.values())
     i, message = len(levels), None
-    for bad, rule in _rules(space, requirements is not None, parsed=bool(faults)):
+    for bad, rule in _rules(space, requirements is not None):
         rows = bad(c)[:i]  # argmax: its first bad row, or 0 when there is none
         if rows.size and rows[j := int(rows.argmax())]:
             i, message = j, rule
@@ -320,7 +307,7 @@ def _first_fault(space: KnobSpace, levels: np.ndarray, monitors: np.ndarray,
         return None
     # Python values, so a float renders as 1.0, not np.float64(1.0)
     row = {name: column[i:i + 1].tolist()[0] for name, column in c.items()}
-    return i, message.format(knobs=space.names, config=tuple(row["levels"]), **row)
+    return i, ": " + message.format(knobs=space.names, config=tuple(row["levels"]), **row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,9 +346,11 @@ class SweepDataset:
                     raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, what, arr)
-        if fault := _first_fault(self.space, self.levels, self.monitors, self.requirements):
+        # a level out of range is clipped in the rank and named by its own rule
+        rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs],
+                                    mode="clip")
+        if fault := _first_fault(self.space, rank, self.levels, self.monitors, self.requirements):
             raise RowError(*fault)
-        rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs])
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
 
@@ -458,9 +447,9 @@ def export_csv_string(ds: SweepDataset) -> str:
 def ingest_csv(path_or_file, space: KnobSpace) -> SweepDataset:
     """Read a sweep CSV back into a dataset, validating against ``space``.
 
-    Raises IngestionError naming the offending row and column on any
-    missing column, unknown level label, duplicate configuration or
-    non-finite number.
+    Raises IngestionError on a missing or repeated column, or names the
+    first bad record's row, the header being row 1, and its first fault:
+    a parse fault (cells, then numbers), else a ``SweepDataset`` rule.
     """
     if hasattr(path_or_file, "read"):
         return _read_csv(path_or_file, space)
@@ -495,7 +484,10 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
 
     reader = csv.reader(rows_text)
     header = next(reader)
-    col_index = {name: i for i, name in enumerate(header)}
+    col_index = {}
+    for i, name in enumerate(header):
+        if col_index.setdefault(name, i) != i:
+            raise IngestionError(f"duplicate column {name!r}")
     for key in [f"knob:{n}" for n in space.names] + [f"mon:{n}" for n in MONITOR_NAMES]:
         if key not in col_index:
             raise IngestionError(f"missing column {key!r}")
@@ -507,16 +499,17 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     req_cols = [] if missing else [col_index[f"req:{n}"] for n in REQUIREMENT_NAMES]
 
     codes = [{lv.label: i for i, lv in enumerate(k.levels)} for k in space.knobs]
-    # each record's first parse fault, by record: a wrong cell count or an
-    # unknown label, and a cell that is not a finite number
-    cell_faults, number_faults = {}, {}
+    # each record's first parse fault, the text after its row number: a wrong
+    # cell count or an unknown label, then a cell that is not a finite number;
+    # its stand-ins break rules only at its own row or later
+    faults = {}
     blocks = []
     # a column at a time, in blocks of rows to bound the memory held as text
     while records := list(itertools.islice(reader, 1024)):
         first = 1024 * len(blocks)
         for r, record in enumerate(records):
             if len(record) != len(header):
-                cell_faults[first + r] = f"expected {len(header)} cells, got {len(record)}"
+                faults[first + r] = f": expected {len(header)} cells, got {len(record)}"
                 records[r] = [""] * len(header)  # its cells' own faults rank after this one
         cells = list(zip(*records))
         levels = []
@@ -526,8 +519,8 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
             except KeyError:  # an unknown label stands in as level 0
                 for r, label in enumerate(cells[ci]):
                     if label not in code:
-                        cell_faults.setdefault(
-                            first + r, f"unknown level {label!r} for knob {knob.name!r}")
+                        faults.setdefault(
+                            first + r, f": unknown level {label!r} for knob {knob.name!r}")
                 levels.append([code.get(label, 0) for label in cells[ci]])
         numbers = []
         for name, texts in ((header[ci], cells[ci]) for ci in mon_cols + req_cols):
@@ -539,10 +532,10 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
                     try:
                         column[r] = float(text)
                     except ValueError:
-                        number_faults.setdefault(first + r, f"{name}: not a number: {text!r}")
+                        faults.setdefault(first + r, f", column {name}: not a number: {text!r}")
             column = np.array(column)
             for r in np.flatnonzero(~np.isfinite(column)).tolist():
-                number_faults.setdefault(first + r, f"{name}: non-finite value {texts[r]!r}")
+                faults.setdefault(first + r, f", column {name}: non-finite value {texts[r]!r}")
             numbers.append(column)
         blocks.append((np.array(levels).T, np.array(numbers).T))
     if not blocks:
@@ -551,8 +544,11 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     levels, numbers = (np.concatenate(part) for part in zip(*blocks))
     monitors = numbers[:, :len(mon_cols)]
     requirements = numbers[:, len(mon_cols):] if req_cols else None
-    if fault := _first_fault(space, levels, monitors, requirements,
-                             cells=cell_faults, numbers=number_faults):
-        row, message = fault
-        raise IngestionError(f"row {row + 2}{message}")  # as in the file, the header row 1
-    return SweepDataset(space, levels, monitors, requirements, metadata)
+    try:
+        dataset = SweepDataset(space, levels, monitors, requirements, metadata)
+    except RowError as exc:
+        faults.setdefault(exc.row, exc.fault)  # a record's parse fault comes first
+    if faults:
+        row = min(faults)
+        raise IngestionError(f"row {row + 2}{faults[row]}")  # as in the file, the header row 1
+    return dataset

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hpckit import sweep
 from hpckit.defaults import (
     default_availability_model,
     default_cost_model,
@@ -576,11 +577,23 @@ def _comments_only(text: str) -> str:
     return "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
 
 
+def _with_column(text: str, name: str, value: str) -> str:
+    """``text`` with one more column, ``name``, holding ``value`` in every record."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[start] += f",{name}"
+    lines[start + 1:] = [f"{line},{value}" for line in lines[start + 1:]]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda text: "", "empty file: no header row"),
     (_comments_only, "empty file: no header row"),
     (lambda text: text.replace("req:availability", "req:uptime"),
      "partial requirement columns; missing req:availability"),
+    # read silently, the last copy of a repeated column would win
+    (lambda text: _with_column(text, "mon:ipc", "999"), "duplicate column 'mon:ipc'"),
+    (lambda text: _with_column(text, "knob:SMT", "Enable"), "duplicate column 'knob:SMT'"),
 ])
 def test_ingest_rejects_a_file_without_a_usable_header(derived_dataset, edit, message):
     text = edit(export_csv_string(derived_dataset))
@@ -641,7 +654,12 @@ def _edited_csv(text, edits):
 
 
 # Messages recorded from the row-by-row reader before ingestion went
-# columnar. "row N" counts data records, the header being row 1.
+# columnar. "row N" counts data records, the header being row 1. Within a
+# record the parse faults come first, cells then numbers, and then the
+# dataset's rules, which check a repeated configuration last. So the row 72
+# entry, a repeat with a cell that is not a number, names the number, where
+# the row-by-row reader named the repeat; the two entries after it pin the
+# same order for a value rule and for the cell count.
 REJECTIONS = [
     ([(0, "mon:ipc", "abc")], "row 2, column mon:ipc: not a number: 'abc'"),
     ([(3, "mon:mpki", "nan")], "row 5, column mon:mpki: non-finite value 'nan'"),
@@ -678,8 +696,10 @@ REJECTIONS = [
     ([(9, "append", "1")], "row 11: expected 22 cells, got 23"),
     # row 40 parses as row 8's levels, yet its label fault is named
     ([(40, "knob:DVFS", "9.9GHz")], "row 42: unknown level '9.9GHz' for knob 'DVFS'"),
-    ([(70, "copy_of", 2), (70, "mon:ipc", "x")],
-     "row 72: duplicate configuration (0, 0, 0, 0, 1, 0)"),
+    ([(70, "copy_of", 2), (70, "mon:ipc", "x")], "row 72, column mon:ipc: not a number: 'x'"),
+    ([(7, "copy_of", 6), (7, "mon:peak_power_w", "1")],
+     "row 9: peak_power must be at least cpu_power"),
+    ([(7, "copy_of", 6), (7, "drop_last", None)], "row 9: expected 22 cells, got 21"),
 ]
 
 
@@ -695,6 +715,9 @@ def test_ingest_rejection_names_the_first_bad_row(derived_dataset, edits, messag
 @pytest.mark.parametrize("edits, message", [
     ([(1500, "mon:ipc", "abc")], "row 1502, column mon:ipc: not a number: 'abc'"),
     ([(1300, "copy_of", 5)], "row 1302: duplicate configuration (0, 5)"),
+    # a rule fault in the first block comes before a parse fault in the second
+    ([(100, "mon:peak_power_w", "1"), (1300, "mon:ipc", "abc")],
+     "row 102: peak_power must be at least cpu_power"),
 ])
 def test_ingest_rejection_past_the_first_block(edits, message):
     # 1600 rows: ingest parses records 1024 and on as a second block
@@ -704,6 +727,19 @@ def test_ingest_rejection_past_the_first_block(edits, message):
     with pytest.raises(IngestionError) as exc:
         ingest_csv(io.StringIO(_edited_csv(export_csv_string(ds), edits)), space)
     assert str(exc.value) == message
+
+
+def test_ingest_runs_the_rule_table_once(derived_dataset, monkeypatch):
+    calls = []
+    first_fault = sweep._first_fault
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return first_fault(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "_first_fault", counting)
+    ingest_csv(io.StringIO(export_csv_string(derived_dataset)), derived_dataset.space)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------ analysis byte identity
