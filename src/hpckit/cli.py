@@ -11,6 +11,7 @@ missing sections fall back to the built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -267,20 +268,48 @@ def _write_text(path: str, manifest: dict, body: str) -> None:
 # shared loading
 
 
-def _read(path: str, flag: str, fault=ConfigError) -> str:
-    """The text of the input file ``flag`` names; ``fault`` is raised for one that is not UTF-8."""
+class _HashedBytes(io.RawIOBase):
+    """A binary file's bytes as a reader pulls them, hashed on the way."""
+
+    def __init__(self, fh):
+        self._fh, self.sha256, self.bytes_read = fh, hashlib.sha256(), 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        self.bytes_read += n
+        return n
+
+
+@contextlib.contextmanager
+def _open(path: str, flag: str, fault=ConfigError):
+    """The input file ``flag`` names, opened once, as UTF-8 text read in chunks.
+
+    The text stream's ``buffer`` is a ``_HashedBytes`` that hashes the bytes
+    read so far. A read that fails raises ConfigError, and text that is
+    not UTF-8 raises ``fault``, naming the bad byte's offset in the file.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            source = _HashedBytes(fh)
+            yield io.TextIOWrapper(source, encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"{flag} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise fault(f"{flag} {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        # exc.start counts from the bytes the decoder was given: the last chunk
+        # read, after any bytes of a character the chunk before it left unfinished
+        at = source.bytes_read - len(exc.object) + exc.start
+        raise fault(f"{flag} {path}: not UTF-8 text: {exc.reason} at byte {at}") from exc
 
 
 def _read_json(path: str, flag: str) -> dict:
+    with _open(path, flag) as fh:
+        text = fh.read()
     try:
-        data = json.loads(_read(path, flag))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{flag} {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -312,17 +341,16 @@ class _Dataset(NamedTuple):
 def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
     """Read ``--dataset`` against ``space``; ``derived`` requires requirement columns."""
     path = args.dataset
-    data = _read(path, "--dataset", IngestionError).encode("utf-8")
-    try:
-        # a stream over the bytes: a StringIO would hold the text at 4 bytes a character
-        ds = ingest_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), space)
-    except IngestionError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+    with _open(path, "--dataset", IngestionError) as fh:
+        try:
+            ds = ingest_csv(fh, space)
+        except IngestionError as exc:
+            raise IngestionError(f"{path}: {exc}") from exc
     if derived and not ds.is_derived:
         raise ConfigError(
             f"{path}: dataset has no derived requirement columns; run 'hpckit derive' first"
         )
-    digest = hashlib.sha256(data).hexdigest()[:16]
+    digest = fh.buffer.sha256.hexdigest()[:16]  # ingest reads the file to its end
     raw_seed = ds.metadata.get("seed", "")
     seed = int(raw_seed) if raw_seed.removeprefix("-").isdecimal() else None
     return _Dataset(ds, digest, seed)
@@ -451,8 +479,10 @@ def cmd_validate(args, run: _Run) -> int:
 
 
 def _sweep_summary(path: str) -> list[str]:
-    metadata, data = split_metadata(io.StringIO(_read(path, "--sweep"), newline=""))
-    lines = [f"file: {path}", f"rows: {max(0, len(data) - 1)}"]  # less the header
+    with _open(path, "--sweep") as fh:
+        metadata, data = split_metadata(fh)
+        rows = max(0, sum(1 for _ in data) - 1)  # less the header
+    lines = [f"file: {path}", f"rows: {rows}"]
     for key in ("seed", "parameters", "mc_iterations", "n_intervals",
                 "interval_success_fraction"):
         if key in metadata:

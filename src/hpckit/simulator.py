@@ -23,7 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import itertools
 import json
+import math
 import operator
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -32,13 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, require_int, require_number
-from .sweep import (
-    Configuration,
-    KnobSpace,
-    SweepDataset,
-    enumerate_configs,
-    enumeration_rank,
-)
+from .sweep import MONITOR_NAMES, Configuration, KnobSpace, SweepDataset, enumeration_rank
 
 
 @dataclass(frozen=True)
@@ -584,19 +580,22 @@ def generate_sweep(
     aggregate interval success fraction.
     """
     seed = _seed(seed)
-    levels, monitors, good = [], [], 0
-    for config in enumerate_configs(space):
+    shape = [len(k.levels) for k in space.knobs]
+    monitors = np.empty((math.prod(shape), len(MONITOR_NAMES)))
+    good = 0
+    for row, config in enumerate(map(Configuration, itertools.product(*map(range, shape)))):
         result = simulate_config_detailed(
             space, config, params, effects, fault_model, n_intervals, seed
         )
-        levels.append(config.levels)
-        monitors.append(result.monitors)
+        monitors[row] = result.monitors
         good += result.successes
     metadata = {
         "seed": str(seed),
         "parameters": parameters_digest(space, params, effects, fault_model),
         "mc_iterations": str(params.mc_iterations),
         "n_intervals": str(n_intervals),
-        "interval_success_fraction": format(good / (len(levels) * n_intervals), ".6f"),
+        "interval_success_fraction": format(good / (len(monitors) * n_intervals), ".6f"),
     }
+    # each configuration's levels, in the order itertools.product gave them
+    levels = np.indices(shape).reshape(len(shape), -1).T
     return SweepDataset(space, levels, monitors, metadata=metadata)

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,9 @@ _NON_NEGATIVE_REQUIREMENTS = ("performance", "power", "energy", "cost")
 # Numbers are rendered with 12 significant digits so a written file
 # re-reads to the same rendered values.
 _FLOAT_FMT = ".12g"
+# Rows the CSV writer formats, and records the reader parses, at a time:
+# the text held in memory is one block's, not the whole table's.
+_BLOCK_ROWS = 256
 
 
 def _require_name(what: str, value) -> None:
@@ -426,16 +430,20 @@ def _write_csv(ds: SweepDataset, fh) -> None:
     fh.writelines(lines)
     header = [f"knob:{n}" for n in ds.space.names]
     header += [f"mon:{n}" for n in MONITOR_NAMES]
-    values = ds.monitors
+    columns = [ds.monitors]
     if ds.requirements is not None:
         header += [f"req:{n}" for n in REQUIREMENT_NAMES]
-        values = np.hstack([values, ds.requirements])
+        columns.append(ds.requirements)
     csv.writer(fh, lineterminator="\n").writerow(header)
     # each label as csv.writer quotes it; '%.12g' % x is format(x, '.12g')
     cells = [[_csv_cell(lv.label) for lv in k.levels] for k in ds.space.knobs]
-    knob_text = zip(*([c[i] for i in col] for c, col in zip(cells, ds.levels.T.tolist())))
-    fmt = ",".join(["%s"] * len(cells) + ["%" + _FLOAT_FMT] * values.shape[1]) + "\n"
-    fh.writelines(fmt % (*k, *v) for k, v in zip(knob_text, values.tolist()))
+    fmt = ",".join(["%s"] * len(cells) + ["%" + _FLOAT_FMT] * (len(header) - len(cells))) + "\n"
+    for start in range(0, len(ds), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        levels = ds.levels[block].T.tolist()
+        knob_text = zip(*([c[i] for i in col] for c, col in zip(cells, levels)))
+        values = np.hstack([part[block] for part in columns]).tolist()
+        fh.writelines(fmt % (*k, *v) for k, v in zip(knob_text, values))
 
 
 def export_csv_string(ds: SweepDataset) -> str:
@@ -457,33 +465,34 @@ def ingest_csv(path_or_file, space: KnobSpace) -> SweepDataset:
         return _read_csv(fh, space)
 
 
-def split_metadata(lines) -> tuple[dict[str, str], list[str]]:
-    """Split sweep CSV lines into comment metadata and non-blank data lines.
+def split_metadata(lines) -> tuple[dict[str, str], Iterator[str]]:
+    """Split sweep CSV lines into comment metadata and a lazy iterator of non-blank data lines.
 
     Metadata is read only above the header, exactly as the writer's
     ``# key: value`` lines hold it; comment lines there without a ``:``
-    carry none. From the header on, every non-blank line is data.
+    carry none. From the header on, every non-blank line is data. Only
+    the lines up to the header are read here; the iterator reads the rest
+    of ``lines`` as it is consumed.
     """
+    lines = iter(lines)
     metadata = {}
-    data = []
     for line in lines:
-        if data or not line.startswith("#"):
+        if not line.startswith("#"):
             if line.strip():
-                data.append(line)
+                return metadata, filter(str.strip, itertools.chain([line], lines))
             continue
         key, sep, value = line[1:].rstrip("\r\n").removeprefix(" ").partition(":")
         if sep:
             metadata[key] = value.removeprefix(" ")
-    return metadata, data
+    return metadata, iter(())
 
 
 def _read_csv(fh, space: KnobSpace) -> SweepDataset:
-    metadata, rows_text = split_metadata(fh)
-    if not rows_text:
+    metadata, data = split_metadata(fh)
+    reader = csv.reader(data)
+    if (header := next(reader, None)) is None:
         raise IngestionError("empty file: no header row")
 
-    reader = csv.reader(rows_text)
-    header = next(reader)
     col_index = {}
     for i, name in enumerate(header):
         if col_index.setdefault(name, i) != i:
@@ -504,9 +513,9 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     # its stand-ins break rules only at its own row or later
     faults = {}
     blocks = []
-    # a column at a time, in blocks of rows to bound the memory held as text
-    while records := list(itertools.islice(reader, 1024)):
-        first = 1024 * len(blocks)
+    # a column at a time, a block of records at a time
+    while records := list(itertools.islice(reader, _BLOCK_ROWS)):
+        first = _BLOCK_ROWS * len(blocks)
         for r, record in enumerate(records):
             if len(record) != len(header):
                 faults[first + r] = f": expected {len(header)} cells, got {len(record)}"
@@ -542,6 +551,7 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
         raise IngestionError("no rows in the data section")
 
     levels, numbers = (np.concatenate(part) for part in zip(*blocks))
+    del blocks  # the concatenated copies replace them
     monitors = numbers[:, :len(mon_cols)]
     requirements = numbers[:, len(mon_cols):] if req_cols else None
     try:

@@ -984,6 +984,25 @@ def test_dataset_that_is_not_utf8_exits_three_naming_the_byte(tmp_path, capsys):
                    f"invalid continuation byte at byte {at}\n"), err
 
 
+@pytest.mark.parametrize("where", ["first chunk", "chunk edge", "last byte"])
+def test_bad_utf8_is_named_at_its_offset_in_the_file(tmp_path, capsys, where):
+    # the text reader decodes 8192 bytes at a time; a lead byte at 8191 leaves
+    # its character unfinished at the chunk's end
+    sweep, odd = tmp_path / "sweep.csv", tmp_path / "odd.csv"
+    assert run("simulate", "--out", sweep) == 0
+    data = sweep.read_bytes()
+    at = {"first chunk": 100, "chunk edge": 8191, "last byte": len(data) - 1}[where]
+    odd.write_bytes(data[:at] + b"\xc3" + data[at + 1:])
+    with pytest.raises(UnicodeDecodeError) as whole:  # the offset decoding it at once gives
+        odd.read_bytes().decode("utf-8")
+    assert whole.value.start == at
+    capsys.readouterr()
+    assert run("ingest", "--dataset", odd) == 3
+    assert capsys.readouterr().err == (
+        f"hpckit: ingestion error: --dataset {odd}: not UTF-8 text: "
+        f"{whole.value.reason} at byte {at}\n")
+
+
 def test_derive_overflow_exits_one_naming_the_dataset(tmp_path, capsys):
     # each monitor is finite, but the energy they give overflows to inf
     sweep, overflow, out = tmp_path / "sweep.csv", tmp_path / "overflow.csv", tmp_path / "d.csv"

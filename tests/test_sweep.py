@@ -40,6 +40,7 @@ from hpckit.sweep import (
     enumeration_rank,
     export_csv_string,
     ingest_csv,
+    split_metadata,
     zscore,
 )
 
@@ -346,6 +347,23 @@ def test_labels_that_start_with_a_hash_round_trip_every_row():
     back = ingest_csv(io.StringIO(text), space)
     assert len(back) == 4
     _assert_same_dataset(ds, back)
+
+
+def test_split_metadata_reads_no_line_past_the_header_until_asked():
+    lines = ["# seed: 3\n", "\n", "# a note\n", "# parameters: abc\n", "knob:A,mon:ipc\n",
+             "a,1\n", "\n", "b,2\n"]
+    read = []
+
+    def source():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    metadata, data = split_metadata(source())
+    assert metadata == {"seed": "3", "parameters": "abc"}
+    assert read == lines[:5]
+    assert list(data) == ["knob:A,mon:ipc\n", "a,1\n", "b,2\n"]
+    assert read == lines
 
 
 def test_comment_line_after_the_header_is_a_row_fault():
@@ -720,7 +738,8 @@ def test_ingest_rejection_names_the_first_bad_row(derived_dataset, edits, messag
      "row 102: peak_power must be at least cpu_power"),
 ])
 def test_ingest_rejection_past_the_first_block(edits, message):
-    # 1600 rows: ingest parses records 1024 and on as a second block
+    # 1600 rows: ingest parses 256 records a block, so rows 100 and 1300 lie
+    # in the first and sixth blocks
     space = space_of(40, 40)
     ds = SweepDataset(space, [c.levels for c in enumerate_configs(space)],
                       [monitor_vector()] * 1600)
