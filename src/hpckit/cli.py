@@ -339,7 +339,11 @@ class _Dataset(NamedTuple):
 
 
 def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
-    """Read ``--dataset`` against ``space``; ``derived`` requires requirement columns."""
+    """Read ``--dataset`` against ``space``; ``derived`` requires requirement columns.
+
+    Ingest stops at a faulty record, so the error of a file it rejects
+    names that record, whatever the lines after it hold.
+    """
     path = args.dataset
     with _open(path, "--dataset", IngestionError) as fh:
         try:
@@ -350,7 +354,7 @@ def _load_dataset(args, space: KnobSpace, derived: bool = True) -> _Dataset:
         raise ConfigError(
             f"{path}: dataset has no derived requirement columns; run 'hpckit derive' first"
         )
-    digest = fh.buffer.sha256.hexdigest()[:16]  # ingest reads the file to its end
+    digest = fh.buffer.sha256.hexdigest()[:16]  # ingest read to the end of a file it accepts
     raw_seed = ds.metadata.get("seed", "")
     seed = int(raw_seed) if raw_seed.removeprefix("-").isdecimal() else None
     return _Dataset(ds, digest, seed)

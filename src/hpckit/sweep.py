@@ -323,7 +323,8 @@ class SweepDataset:
     ``requirements`` the five requirement values (float64, [rows, 5]), or
     None before derivation; all three are read-only, columns in the
     canonical orders. ``rank`` is each row's position in
-    ``enumerate_configs(space)``. Every column is checked once here.
+    ``enumerate_configs(space)``. Every column is checked once here;
+    levels must be integers and values real numbers, not bools or strings.
 
     ``metadata`` holds provenance strings (seed, parameter hash) which
     are written out as comment lines in the CSV form. A row that breaks
@@ -341,11 +342,17 @@ class SweepDataset:
         n = len(self.levels)
         if not n:
             raise ValueError("dataset must contain at least one row")
-        for what, dtype, width in (("levels", np.int64, len(self.space.knobs)),
-                                   ("monitors", float, len(MONITOR_NAMES)),
-                                   ("requirements", float, len(REQUIREMENT_NAMES))):
+        # checked, not coerced: the cast alone would read level 1.7 as 1 and '2' as 2
+        for what, kinds, dtype, width in (
+                ("levels", "iu", np.int64, len(self.space.knobs)),
+                ("monitors", "iuf", float, len(MONITOR_NAMES)),
+                ("requirements", "iuf", float, len(REQUIREMENT_NAMES))):
             if (values := getattr(self, what)) is not None:
-                arr = np.array(values, dtype=dtype, order="C")
+                arr = np.asarray(values)
+                if arr.dtype.kind not in kinds:
+                    noun = "integers" if what == "levels" else "real numbers"
+                    raise ValueError(f"{what} must be {noun}, got dtype {arr.dtype}")
+                arr = np.array(arr, dtype=dtype, order="C")
                 if arr.shape != (n, width):
                     raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")
                 arr.setflags(write=False)
@@ -456,8 +463,10 @@ def ingest_csv(path_or_file, space: KnobSpace) -> SweepDataset:
     """Read a sweep CSV back into a dataset, validating against ``space``.
 
     Raises IngestionError on a missing or repeated column, or names the
-    first bad record's row, the header being row 1, and its first fault:
-    a parse fault (cells, then numbers), else a ``SweepDataset`` rule.
+    first bad record's row, the header being row 1, and its first fault.
+    Reading stops at the first record with a parse fault (see
+    ``_parse_fault``); a ``SweepDataset`` rule that a record before it
+    breaks is named first, else that parse fault.
     """
     if hasattr(path_or_file, "read"):
         return _read_csv(path_or_file, space)
@@ -487,11 +496,60 @@ def split_metadata(lines) -> tuple[dict[str, str], Iterator[str]]:
     return metadata, iter(())
 
 
+def _records(reader) -> Iterator:
+    """The reader's records; a csv.Error it raises stands in for the record it could not read."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        yield exc
+
+
+def _parse_fault(record, header: list[str], knobs, number_cols) -> str | None:
+    """A record's first parse fault, the text after its row number, or None.
+
+    The one statement of their order: the record as read (unreadable, or a
+    wrong cell count), then its labels in knob order, then its numbers in
+    column order. ``knobs`` holds (knob, label codes, cell index) triples.
+    """
+    if isinstance(record, csv.Error):
+        return f": {record}"
+    if len(record) != len(header):
+        return f": expected {len(header)} cells, got {len(record)}"
+    for knob, code, ci in knobs:
+        if record[ci] not in code:
+            return f": unknown level {record[ci]!r} for knob {knob.name!r}"
+    for ci in number_cols:
+        try:
+            if not math.isfinite(float(record[ci])):
+                return f", column {header[ci]}: non-finite value {record[ci]!r}"
+        except ValueError:
+            return f", column {header[ci]}: not a number: {record[ci]!r}"
+    return None
+
+
+def _columns(records: list, header: list[str], knobs, number_cols) -> tuple | None:
+    """A block's levels and numbers, parsed a column at a time; None if a record has a parse fault.
+
+    Only a block's last record can be a csv.Error: the reader stops there.
+    """
+    if isinstance(records[-1], csv.Error) or any(len(record) != len(header) for record in records):
+        return None
+    cells = list(zip(*records))
+    try:
+        levels = [list(map(code.__getitem__, cells[ci])) for _, code, ci in knobs]
+        numbers = np.array([list(map(float, cells[ci])) for ci in number_cols]).T
+    except (KeyError, ValueError):
+        return None
+    return (np.array(levels).T, numbers) if np.isfinite(numbers).all() else None
+
+
 def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     metadata, data = split_metadata(fh)
-    reader = csv.reader(data)
-    if (header := next(reader, None)) is None:
+    records = _records(csv.reader(data))
+    if (header := next(records, None)) is None:
         raise IngestionError("empty file: no header row")
+    if isinstance(header, csv.Error):
+        raise IngestionError(f"row 1: {header}")
 
     col_index = {}
     for i, name in enumerate(header):
@@ -500,55 +558,29 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     for key in [f"knob:{n}" for n in space.names] + [f"mon:{n}" for n in MONITOR_NAMES]:
         if key not in col_index:
             raise IngestionError(f"missing column {key!r}")
-    knob_cols = [col_index[f"knob:{n}"] for n in space.names]
     mon_cols = [col_index[f"mon:{n}"] for n in MONITOR_NAMES]
     missing = [n for n in REQUIREMENT_NAMES if f"req:{n}" not in col_index]
     if 0 < len(missing) < len(REQUIREMENT_NAMES):
         raise IngestionError(f"partial requirement columns; missing req:{missing[0]}")
     req_cols = [] if missing else [col_index[f"req:{n}"] for n in REQUIREMENT_NAMES]
+    knobs = [(k, {lv.label: i for i, lv in enumerate(k.levels)}, col_index[f"knob:{k.name}"])
+             for k in space.knobs]
+    layout = (header, knobs, mon_cols + req_cols)  # the cells a record's parse reads
 
-    codes = [{lv.label: i for i, lv in enumerate(k.levels)} for k in space.knobs]
-    # each record's first parse fault, the text after its row number: a wrong
-    # cell count or an unknown label, then a cell that is not a finite number;
-    # its stand-ins break rules only at its own row or later
-    faults = {}
-    blocks = []
-    # a column at a time, a block of records at a time
-    while records := list(itertools.islice(reader, _BLOCK_ROWS)):
-        first = _BLOCK_ROWS * len(blocks)
-        for r, record in enumerate(records):
-            if len(record) != len(header):
-                faults[first + r] = f": expected {len(header)} cells, got {len(record)}"
-                records[r] = [""] * len(header)  # its cells' own faults rank after this one
-        cells = list(zip(*records))
-        levels = []
-        for knob, code, ci in zip(space.knobs, codes, knob_cols):
-            try:
-                levels.append(list(map(code.__getitem__, cells[ci])))
-            except KeyError:  # an unknown label stands in as level 0
-                for r, label in enumerate(cells[ci]):
-                    if label not in code:
-                        faults.setdefault(
-                            first + r, f": unknown level {label!r} for knob {knob.name!r}")
-                levels.append([code.get(label, 0) for label in cells[ci]])
-        numbers = []
-        for name, texts in ((header[ci], cells[ci]) for ci in mon_cols + req_cols):
-            try:
-                column = list(map(float, texts))
-            except ValueError:  # a cell that is not a number stands in as NaN
-                column = [math.nan] * len(texts)
-                for r, text in enumerate(texts):
-                    try:
-                        column[r] = float(text)
-                    except ValueError:
-                        faults.setdefault(first + r, f", column {name}: not a number: {text!r}")
-            column = np.array(column)
-            for r in np.flatnonzero(~np.isfinite(column)).tolist():
-                faults.setdefault(first + r, f", column {name}: non-finite value {texts[r]!r}")
-            numbers.append(column)
-        blocks.append((np.array(levels).T, np.array(numbers).T))
+    blocks, fault = [], None
+    while block := list(itertools.islice(records, _BLOCK_ROWS)):
+        if (parsed := _columns(block, *layout)) is not None:
+            blocks.append(parsed)
+            continue
+        # the first faulty record ends the read; the records before it are checked below
+        r, text = next((r, text) for r, text in enumerate(
+            _parse_fault(record, *layout) for record in block) if text)
+        fault = f"row {_BLOCK_ROWS * len(blocks) + r + 2}{text}"  # as in the file, the header row 1
+        if r:
+            blocks.append(_columns(block[:r], *layout))
+        break
     if not blocks:
-        raise IngestionError("no rows in the data section")
+        raise IngestionError(fault or "no rows in the data section")
 
     levels, numbers = (np.concatenate(part) for part in zip(*blocks))
     del blocks  # the concatenated copies replace them
@@ -556,9 +588,8 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
     requirements = numbers[:, len(mon_cols):] if req_cols else None
     try:
         dataset = SweepDataset(space, levels, monitors, requirements, metadata)
-    except RowError as exc:
-        faults.setdefault(exc.row, exc.fault)  # a record's parse fault comes first
-    if faults:
-        row = min(faults)
-        raise IngestionError(f"row {row + 2}{faults[row]}")  # as in the file, the header row 1
+    except RowError as exc:  # a rule fault of the records before a faulty one comes first
+        raise IngestionError(f"row {exc.row + 2}{exc.fault}") from exc
+    if fault:
+        raise IngestionError(fault)
     return dataset

@@ -1003,6 +1003,39 @@ def test_bad_utf8_is_named_at_its_offset_in_the_file(tmp_path, capsys, where):
         f"{whole.value.reason} at byte {at}\n")
 
 
+def test_faulty_record_is_named_before_a_bad_byte_in_a_later_block(tmp_path, capsys):
+    # 1024 rows: ingest stops at the block of 256 records holding row 4, so
+    # it never reads the last record's bad byte
+    space = cli.default_knob_space().to_json_dict()
+    space["knobs"] += [{"name": f"X{i}", "levels": [{"label": "off"}, {"label": "on"}]}
+                       for i in range(3)]
+    space_file, sweep, odd = tmp_path / "space.json", tmp_path / "sweep.csv", tmp_path / "odd.csv"
+    space_file.write_text(json.dumps(space))
+    assert run("simulate", "--space", space_file, "--out", sweep) == 0
+    lines = sweep.read_bytes().splitlines(keepends=True)
+    row4 = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + 3
+    lines[row4] = b"abc" + lines[row4][lines[row4].index(b","):]  # its DVFS label
+    lines[-1] = b"\xe9" + lines[-1][1:]
+    odd.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run("ingest", "--dataset", odd, "--space", space_file) == 3
+    assert capsys.readouterr().err == (
+        f"hpckit: ingestion error: {odd}: row 4: unknown level 'abc' for knob 'DVFS'\n")
+
+
+def test_record_longer_than_the_csv_field_limit_exits_three(tmp_path, capsys):
+    sweep, odd = tmp_path / "sweep.csv", tmp_path / "odd.csv"
+    assert run("simulate", "--out", sweep) == 0
+    lines = sweep.read_text().splitlines(keepends=True)
+    row4 = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 3
+    lines[row4] = "x" * 200_000 + lines[row4][lines[row4].index(","):]
+    odd.write_text("".join(lines))
+    capsys.readouterr()
+    assert run("ingest", "--dataset", odd) == 3
+    assert capsys.readouterr().err == (
+        f"hpckit: ingestion error: {odd}: row 4: field larger than field limit (131072)\n")
+
+
 def test_derive_overflow_exits_one_naming_the_dataset(tmp_path, capsys):
     # each monitor is finite, but the energy they give overflows to inf
     sweep, overflow, out = tmp_path / "sweep.csv", tmp_path / "overflow.csv", tmp_path / "d.csv"

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -565,6 +566,28 @@ def test_dataset_rejects_out_of_range_levels_and_duplicates():
         SweepDataset(space_of(4), [(0,), (1,), (3,), (5,)], mons)
 
 
+@pytest.mark.parametrize("levels, monitors, requirements, message", [
+    ([(0,), (1.7,)], None, None, "levels must be integers, got dtype float64"),
+    ([("0",), ("1",)], None, None, "levels must be integers, got dtype <U1"),
+    ([(False,), (True,)], None, None, "levels must be integers, got dtype bool"),
+    (None, [[True] * 11] * 2, None, "monitors must be real numbers, got dtype bool"),
+    (None, [["1"] * 11] * 2, None, "monitors must be real numbers, got dtype <U1"),
+    (None, [[None] * 11] * 2, None, "monitors must be real numbers, got dtype object"),
+    (None, None, [["0.5"] * 5] * 2, "requirements must be real numbers, got dtype <U3"),
+])
+def test_dataset_checks_value_types_rather_than_casting(levels, monitors, requirements, message):
+    with pytest.raises(ValueError) as exc:
+        SweepDataset(space_of(2), levels or [(0,), (1,)], monitors or [monitor_vector()] * 2,
+                     requirements)
+    assert str(exc.value) == message
+
+
+def test_dataset_takes_any_integer_levels_and_real_values():
+    ds = SweepDataset(space_of(2), np.array([[0], [1]], dtype=np.uint8),
+                      np.ones((2, 11), dtype=np.int32), [[0.0, 70.0, 0.0, 1, 5050]] * 2)
+    assert (ds.levels.dtype, ds.monitors.dtype, ds.requirements.dtype) == (np.int64,) + (float,) * 2
+
+
 # ---------------------------------------------------------- ingestion errors
 
 
@@ -761,6 +784,142 @@ def test_ingest_runs_the_rule_table_once(derived_dataset, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ingest_reads_no_line_past_a_block_with_a_faulty_record():
+    space = space_of(40, 40)
+    ds = SweepDataset(space, [c.levels for c in enumerate_configs(space)],
+                      [monitor_vector()] * 1600)
+    lines = _edited_csv(export_csv_string(ds), [(100, "mon:ipc", "abc")]).splitlines(True)
+    taken = []
+
+    class Source:
+        read = None  # ingest_csv reads an object with a read attribute as an open file
+
+        def __iter__(self):
+            for line in lines:
+                taken.append(line)
+                yield line
+
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(Source(), space)
+    assert str(exc.value) == "row 102, column mon:ipc: not a number: 'abc'"
+    assert len(taken) == 1 + 256  # the header and the first block of records
+
+
+_LONG = "x" * 200_000  # longer than the csv module's field limit
+_FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: _edited_csv(text, [(2, "knob:SMT", _LONG)]), f"row 4: {_FIELD_LIMIT}"),
+    # a rule fault of a record before the unreadable one comes first
+    (lambda text: _edited_csv(text, [(0, "mon:peak_power_w", "1"), (2, "knob:SMT", _LONG)]),
+     "row 2: peak_power must be at least cpu_power"),
+    (lambda text: text.replace("knob:SMT", _LONG), f"row 1: {_FIELD_LIMIT}"),
+], ids=["record", "rule fault first", "header"])
+def test_a_record_the_csv_reader_cannot_read_is_its_row_fault(derived_dataset, edit, message):
+    text = edit(export_csv_string(derived_dataset))
+    with pytest.raises(IngestionError) as exc:
+        ingest_csv(io.StringIO(text), derived_dataset.space)
+    assert str(exc.value) == message
+
+
+def _reference_ingest(text, space):
+    """Ingest's message for ``text``, or None, from a reader that takes a record at a time.
+
+    It stops at the first record with a parse fault: the wrong number of
+    cells, else an unknown label in knob order, else a cell that is not a
+    finite number in column order. A rule the rows before it break comes
+    first; ``SweepDataset`` checks them.
+    """
+    lines = [line for line in text.splitlines(True) if line.strip()]
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header, *records = csv.reader(lines[start:])
+    knob_cells = [(knob, header.index(f"knob:{knob.name}")) for knob in space.knobs]
+    labels = [{lv.label for lv in knob.levels} for knob in space.knobs]
+    number_cells = [i for i, name in enumerate(header) if not name.startswith("knob:")]
+
+    def parse_fault(record):
+        if len(record) != len(header):
+            return f": expected {len(header)} cells, got {len(record)}"
+        for (knob, i), known in zip(knob_cells, labels):
+            if record[i] not in known:
+                return f": unknown level {record[i]!r} for knob {knob.name!r}"
+        for i in number_cells:
+            try:
+                number = float(record[i])
+            except ValueError:
+                return f", column {header[i]}: not a number: {record[i]!r}"
+            if not math.isfinite(number):
+                return f", column {header[i]}: non-finite value {record[i]!r}"
+        return None
+
+    levels, values, fault = [], [], None
+    for row, record in enumerate(records, start=2):  # the header is row 1
+        if (fault := parse_fault(record)) is not None:
+            fault = f"row {row}{fault}"
+            break
+        levels.append([knob.level_index(record[i]) for knob, i in knob_cells])
+        values.append([float(record[i]) for i in number_cells])
+    if not levels:
+        return fault or "no rows in the data section"
+    monitors, requirements = np.split(np.array(values), [len(MONITOR_FIELDS)], axis=1)
+    try:
+        SweepDataset(space, levels, monitors, requirements if requirements.size else None)
+    except RowError as exc:
+        return f"row {exc.row + 2}{exc.fault}"
+    return fault
+
+
+def _random_edit(rng, rows, cells):
+    """One random edit of ``rows``, parsed records, in place; rows near block edges come often."""
+    n = len(rows)
+    i = rng.choice([255, 256, 257, 511]) % n if rng.random() < 0.4 else rng.randrange(n)
+    kind = rng.choice(["swap", "copy", "drop", "extra", "delete", "value", "value"])
+    row = rows[i]
+    if kind == "swap" and row:
+        a, b = rng.randrange(len(row)), rng.randrange(len(row))
+        row[a], row[b] = row[b], row[a]
+    elif kind == "copy":
+        rows[i] = list(rows[rng.randrange(n)])
+    elif kind == "drop" and row:
+        del row[rng.randrange(len(row))]
+    elif kind == "extra":
+        row.insert(rng.randrange(len(row) + 1), rng.choice(cells))
+    elif kind == "delete" and n > 1:
+        del rows[i]
+    elif row:
+        row[rng.randrange(len(row))] = rng.choice(cells)
+
+
+def test_ingest_agrees_with_a_record_at_a_time_reader():
+    # 512 rows, two blocks of 256 records: edits land on both sides of the edge
+    space = _noop_space(2)
+    ds = derive_dataset(generate_sweep(space, default_workload(), default_effects(),
+                                       default_fault_model(), 12),
+                        default_availability_model(), default_cost_model(),
+                        default_requirement_spec())
+    lines = export_csv_string(ds).splitlines(True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    head, parsed = "".join(lines[:start + 1]), list(csv.reader(lines[start + 1:]))
+    cells = ["abc", "nan", "inf", "-1", "0", "1", "1.5", "", "1e999", "Enable", "on", "2.6GHz"]
+    rng = random.Random(22)
+    rejected = 0
+    for _ in range(100):
+        rows = [list(row) for row in parsed]
+        for _ in range(rng.randint(1, 4)):
+            _random_edit(rng, rows, cells)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = head + buf.getvalue()
+        try:
+            ingest_csv(io.StringIO(text), space)
+            message = None
+        except IngestionError as exc:
+            message, rejected = str(exc), rejected + 1
+        assert message == _reference_ingest(text, space), text
+    assert 0 < rejected < 100
+
+
 # ------------------------------------------------------ analysis byte identity
 
 
@@ -768,9 +927,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _noop_space() -> KnobSpace:
-    """The default space plus six binary knobs X0..X5 without any effect: 8192 rows."""
-    extra = tuple(KnobDef(f"X{i}", (KnobLevel("off"), KnobLevel("on")), 0) for i in range(6))
+def _noop_space(knobs: int = 6) -> KnobSpace:
+    """The default space plus binary knobs X0, X1, ... without any effect: six give 8192 rows."""
+    extra = tuple(KnobDef(f"X{i}", (KnobLevel("off"), KnobLevel("on")), 0) for i in range(knobs))
     return KnobSpace(default_knob_space().knobs + extra)
 
 
