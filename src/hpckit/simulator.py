@@ -166,21 +166,23 @@ def combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffect
     leave every product and sum bit for bit unchanged.
     """
     space.validate_configuration(config)
-    return _combine_effects(space, config, effects)
+    return CombinedEffect(*_combine_effects(space, config, effects))
 
 
-def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffects) -> CombinedEffect:
-    """combine_effects for a configuration already checked against ``space``."""
+def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffects) -> tuple:
+    """combine_effects for a configuration already checked against ``space``,
+    as a tuple in ``CombinedEffect``'s field order."""
     frequency = effects.reference_frequency_ghz
     freq_mult = cores_mult = throughput = cpu_power = dram_act = 1.0
     temp = mpki = fit = 1.0
     dram_bg = surcharge = 0.0
     tables, frequency_knob = effects.levels, effects.frequency_knob
     for knob, idx in zip(space.knobs, config.levels):
+        if (table := tables.get(knob.name)) is None and knob.name != frequency_knob:
+            continue
         level = knob.levels[idx]
         if knob.name == frequency_knob and level.value is not None:
             frequency = level.value
-        table = tables.get(knob.name)
         if table is None or (eff := table.get(level.label)) is None:
             continue
         freq_mult *= eff.frequency
@@ -193,23 +195,14 @@ def _combine_effects(space: KnobSpace, config: Configuration, effects: KnobEffec
         mpki *= eff.mpki
         fit *= eff.fit
         surcharge += eff.peak_surcharge_w
-    return CombinedEffect(
-        frequency_ghz=frequency * freq_mult,
-        usable_cores=cores_mult,
-        throughput=throughput,
-        cpu_power=cpu_power,
-        dram_activity=dram_act,
-        dram_background_w=dram_bg,
-        temperature=temp,
-        mpki=mpki,
-        fit=fit,
-        peak_surcharge_w=surcharge,
-    )
+    return (frequency * freq_mult, cores_mult, throughput, cpu_power, dram_act,
+            dram_bg, temp, mpki, fit, surcharge)
 
 
-def _interval_seconds(params: WorkloadParams, eff: CombinedEffect, servers_up: int) -> float:
-    cores = params.cores_per_server * eff.usable_cores
-    rate = servers_up * cores * eff.frequency_ghz * eff.throughput
+def _interval_seconds(params: WorkloadParams, usable_cores: float, frequency_ghz: float,
+                      throughput: float, servers_up: int) -> float:
+    cores = params.cores_per_server * usable_cores
+    rate = servers_up * cores * frequency_ghz * throughput
     return params.mc_iterations * params.base_seconds / rate + params.result_processing_s
 
 
@@ -223,7 +216,9 @@ def interval_time(
     """Noise-free seconds for one interval with ``servers_up`` servers."""
     if servers_up < 1:
         raise ValueError("servers_up must be at least 1")
-    return _interval_seconds(params, combine_effects(space, config, effects), servers_up)
+    eff = combine_effects(space, config, effects)
+    return _interval_seconds(params, eff.usable_cores, eff.frequency_ghz, eff.throughput,
+                             servers_up)
 
 
 class FaultCase(enum.Enum):
@@ -302,16 +297,22 @@ class SimulationResult:
 def _trimmed(values: list[float]) -> float:
     """Mean of a non-empty list of floats after dropping its smallest and largest value.
 
-    Fewer than three values are averaged whole.
+    Sorts ``values`` in place. Fewer than three values are averaged whole.
+    The kept values are added left to right from 0.0: from Python 3.12 on,
+    the builtin ``sum`` compensates for rounding, which would make the last
+    bits depend on the Python version.
     """
-    ordered = sorted(values)
-    if len(ordered) >= 3:
-        ordered = ordered[1:-1]
-    if ordered[0] == ordered[-1]:
-        # the mean of identical values is that value; sum()/len() would
-        # round it through 3*t/3 and lose bit-exactness
-        return ordered[0]
-    return sum(ordered) / len(ordered)
+    values.sort()
+    if len(values) >= 3:
+        values = values[1:-1]
+    if values[0] == values[-1]:
+        # the mean of identical values is that value; the sum over len()
+        # would round it through 3*t/3 and lose bit-exactness
+        return values[0]
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 DEFAULT_INTERVALS = 7
@@ -402,7 +403,7 @@ def _rank_seed_type() -> type:
             self.seed, self.rank, self.words = seed, rank, words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == 4 and np.dtype(dtype) == np.uint64:
+            if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
                 return self.words
             return np.random.SeedSequence([self.seed, self.rank]).generate_state(n_words, dtype)
 
@@ -418,11 +419,6 @@ def _stream(seed: int, rank: int):
         block, row = divmod(rank, _STREAM_BLOCK)
         seq = _rank_seed_type()(seed, rank, _stream_words(seed, block)[row])
     return random.Generator(random.PCG64(seq))
-
-
-def _noisy(scale: float, sigma: float, z: list[float]) -> list[float]:
-    """``scale`` times the noise factors ``1 + sigma*z``, each floored at 0.05 to stay positive."""
-    return [scale * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z]
 
 
 def _interval_log(
@@ -490,7 +486,8 @@ def simulate_config_detailed(
     seed = _seed(seed)
     _check_intervals(n_intervals)
     rank = enumeration_rank(space, config)  # also checks config against space
-    eff = _combine_effects(space, config, effects)
+    (frequency, usable_cores, throughput, cpu_power, dram_act, dram_bg,
+     heat, mpki_mult, fit_mult, surcharge) = _combine_effects(space, config, effects)
     rng = _stream(seed, rank)
     noise, n, servers = effects.noise, n_intervals, params.servers
 
@@ -499,53 +496,66 @@ def simulate_config_detailed(
     z = rng.standard_normal(7 * n + 1).tolist()
     # The most an interval draws is one uniform per server plus the failure point.
     u = rng.random(n * (servers + 1)).tolist()
-    time_noise = _noisy(1.0, noise.time, z[6 * n + 1:])
 
-    fit = effects.base_fit * eff.fit * _noisy(1.0, noise.fit, z[6 * n:6 * n + 1])[0]
-    times = [0.0] + [_interval_seconds(params, eff, up) for up in range(1, servers + 1)]
-    nominal = times[servers]
+    # Every noise factor below is 1 + sigma*z, floored at 0.05 to stay positive.
+    sigma = noise.fit
+    fit = effects.base_fit * fit_mult * (0.05 if (x := 1.0 + sigma * z[6 * n]) < 0.05 else x)
+    nominal = _interval_seconds(params, usable_cores, frequency, throughput, servers)
     p_fail = fault_model.per_interval_probability(fit, nominal / 3600.0)
+    sigma, time_z = noise.time, z[6 * n + 1:]
     if min(u[:n * servers]) >= p_fail:
         # No server fails, so the interval loop would read exactly these
         # uniforms and log every interval fault-free on the full pool.
-        fault_free = [nominal * t for t in time_noise]
-        records = [IntervalRecord(t, FaultCase.NO_FAULT, servers) for t in fault_free]
+        fault_free = [nominal * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in time_z]
+        # tuple.__new__ builds each record without IntervalRecord's Python-level __new__
+        new, no_fault = tuple.__new__, FaultCase.NO_FAULT
+        records = tuple([new(IntervalRecord, (t, no_fault, servers)) for t in fault_free])
         successes = n
     else:
-        records, fault_free = _interval_log(params, fault_model, times, time_noise, iter(u), p_fail)
+        times = [0.0] + [_interval_seconds(params, usable_cores, frequency, throughput, up)
+                         for up in range(1, servers + 1)]
+        time_noise = [0.05 if (x := 1.0 + sigma * v) < 0.05 else x for v in time_z]
+        log, fault_free = _interval_log(params, fault_model, times, time_noise, iter(u), p_fail)
+        records = tuple(log)
         successes = sum(r.outcome not in (FaultCase.CASE2, FaultCase.CASE3) for r in records)
 
-    f_ratio = eff.frequency_ghz / effects.reference_frequency_ghz
-    cpu_w = effects.cpu_power_base_w * f_ratio**effects.cpu_power_exponent * eff.cpu_power
-    cpu = _noisy(cpu_w, noise.cpu_power, z[:n])
-    dram_w = (effects.dram_background_w + eff.dram_background_w
-              + effects.dram_activity_w * f_ratio * eff.dram_activity)
-    dram = _noisy(dram_w, noise.dram_power, z[n:2 * n])
-    margins = _noisy(effects.peak_margin_w, noise.peak_margin, z[2 * n:3 * n])
-    surcharge = eff.peak_surcharge_w
-    peak = [c + d + m + surcharge for c, d, m in zip(cpu, dram, margins)]
+    f_ratio = frequency / effects.reference_frequency_ghz
+    cpu_w = effects.cpu_power_base_w * f_ratio**effects.cpu_power_exponent * cpu_power
+    sigma = noise.cpu_power
+    cpu = [cpu_w * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z[:n]]
+    dram_w = (effects.dram_background_w + dram_bg
+              + effects.dram_activity_w * f_ratio * dram_act)
+    sigma = noise.dram_power
+    dram = [dram_w * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z[n:2 * n]]
+    margin_w, sigma = effects.peak_margin_w, noise.peak_margin
+    peak = [c + d + margin_w * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) + surcharge
+            for c, d, v in zip(cpu, dram, z[2 * n:3 * n])]
     ambient, per_watt = effects.temperature_ambient_c, effects.temperature_per_watt
-    heat, sigma = eff.temperature, noise.temperature_c
+    sigma = noise.temperature_c
     temp = [ambient + per_watt * c * heat + (0.0 + sigma * v)  # as Generator.normal(0.0, sigma)
             for c, v in zip(cpu, z[3 * n:4 * n])]
-    ipc = effects.ipc_per_core * (params.cores_per_server * eff.usable_cores) * eff.throughput
-    mpki = effects.mpki_base * eff.mpki
+    ipc_w = effects.ipc_per_core * (params.cores_per_server * usable_cores) * throughput
+    sigma = noise.ipc
+    ipc = [ipc_w * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z[4 * n:5 * n]]
+    mpki_w, sigma = effects.mpki_base * mpki_mult, noise.mpki
+    mpki = [mpki_w * (0.05 if (x := 1.0 + sigma * v) < 0.05 else x) for v in z[5 * n:6 * n]]
 
     server_mtbf = 1e9 / fit
+    # _trimmed sorts each list in place, so every series is built before the first call
     monitors = (
         _trimmed(fault_free) if fault_free else nominal,  # execution time
-        _trimmed(_noisy(ipc, noise.ipc, z[4 * n:5 * n])),
+        _trimmed(ipc),
         _trimmed(dram),
         _trimmed(cpu),
         _trimmed(peak),
         _trimmed(temp),
-        _trimmed(_noisy(mpki, noise.mpki, z[5 * n:6 * n])),
+        _trimmed(mpki),
         server_mtbf,
         server_mtbf,  # system MTBF, provisional; provisioning divides it later
         0.0,          # capex and opex, filled by requirement derivation
         0.0,
     )
-    return SimulationResult(monitors, tuple(records), successes)
+    return SimulationResult(monitors, records, successes)
 
 
 def parameters_digest(

@@ -349,9 +349,16 @@ class SweepDataset:
                 ("requirements", "iuf", float, len(REQUIREMENT_NAMES))):
             if (values := getattr(self, what)) is not None:
                 arr = np.asarray(values)
-                if arr.dtype.kind not in kinds:
+                fault = f"dtype {arr.dtype}" if arr.dtype.kind not in kinds else None
+                # numpy promotes a bool among numbers in a list to their dtype, so a
+                # list is scanned element by element; an array has one dtype
+                if not (fault or isinstance(values, np.ndarray)) and any(
+                        isinstance(v, (bool, np.bool_))
+                        for v in np.asarray(values, dtype=object).flat):
+                    fault = "a bool"
+                if fault:
                     noun = "integers" if what == "levels" else "real numbers"
-                    raise ValueError(f"{what} must be {noun}, got dtype {arr.dtype}")
+                    raise ValueError(f"{what} must be {noun}, got {fault}")
                 arr = np.array(arr, dtype=dtype, order="C")
                 if arr.shape != (n, width):
                     raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")

@@ -1,7 +1,9 @@
 """Synthetic cluster measurement: timing model, faults, sweep generation."""
 
+import functools
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -145,6 +147,9 @@ def test_classification_trichotomy(delay, finish, deadline, remaining, required)
 
 def test_trimmed_mean_drops_extremes():
     assert _trimmed([10.0, 11.0, 12.0, 13.0, 50.0]) == 12.0
+    # added left to right from 0.0: -1e16 + 1.0 rounds back to -1e16; a compensated
+    # sum, as the builtin sum is from Python 3.12 on, would keep the 1.0 and give 1/3
+    assert _trimmed([3e16, 1.0, -1e16, 1e16, -2e16]) == 0.0
 
 
 def test_trimmed_mean_small_inputs():
@@ -501,7 +506,8 @@ def _reference_trimmed_mean(values):
         ordered = ordered[1:-1]
     if ordered[0] == ordered[-1]:
         return ordered[0]
-    return sum(ordered) / len(ordered)
+    # not the builtin sum, which compensates for rounding from Python 3.12 on
+    return functools.reduce(operator.add, ordered, 0.0) / len(ordered)
 
 
 def _reference_simulation(space, config, params, effects, fault_model, n, seed):
@@ -589,9 +595,12 @@ def _reference_simulation(space, config, params, effects, fault_model, n, seed):
 
 
 _ZERO_NOISE = replace(default_effects(), noise=NoiseParams(*[0.0] * 8))
+# noise loud enough that many factors 1 + sigma*z fall to the 0.05 floor
+_LOUD_NOISE = replace(default_effects(), noise=replace(NoiseParams(*[5.0] * 8), temperature_c=50.0))
 # (workload, fault model, effects, n_intervals): forced fault probabilities
 # against every repair time and pool size, FIT-derived probabilities scaled
-# into the fault-prone range, no noise at all, and other interval counts.
+# into the fault-prone range, no noise at all, other interval counts, and
+# noise that hits the floor.
 REFERENCE_CASES = (
     [(WorkloadParams(servers=servers), FaultModel(probability=p, repair_intervals=repair),
       default_effects(), 7)
@@ -601,6 +610,7 @@ REFERENCE_CASES = (
     + [(WorkloadParams(), FaultModel(), _ZERO_NOISE, 7),
        (WorkloadParams(), FaultModel(probability=0.3), _ZERO_NOISE, 7)]
     + [(WorkloadParams(), FaultModel(probability=0.3), default_effects(), n) for n in (5, 9)]
+    + [(WorkloadParams(), FaultModel(probability=0.3), _LOUD_NOISE, 7)]
 )
 
 

@@ -582,6 +582,21 @@ def test_dataset_checks_value_types_rather_than_casting(levels, monitors, requir
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("levels, monitors, requirements, message", [
+    ([[0], [True]], None, None, "levels must be integers, got a bool"),
+    (None, [monitor_vector(), monitor_vector()[:-1] + (True,)], None,
+     "monitors must be real numbers, got a bool"),
+    (None, None, [[0.0, 70.0, 0.0, 1.0, 5050.0], [0.0, 70.0, 0.0, True, 5050.0]],
+     "requirements must be real numbers, got a bool"),
+])
+def test_dataset_rejects_a_bool_among_numbers_in_a_list(levels, monitors, requirements, message):
+    # numpy alone would promote each of these lists to int64 or float64
+    with pytest.raises(ValueError) as exc:
+        SweepDataset(space_of(2), levels or [(0,), (1,)], monitors or [monitor_vector()] * 2,
+                     requirements)
+    assert str(exc.value) == message
+
+
 def test_dataset_takes_any_integer_levels_and_real_values():
     ds = SweepDataset(space_of(2), np.array([[0], [1]], dtype=np.uint8),
                       np.ones((2, 11), dtype=np.int32), [[0.0, 70.0, 0.0, 1, 5050]] * 2)
