@@ -205,6 +205,8 @@ def derive_dataset(
     provisioned[:, col["system_mtbf_h"]] = server_mtbf / servers
     provisioned[:, col["capex"]] = cost.capex
     provisioned[:, col["opex"]] = cost.opex
-    return replace(
-        ds, monitors=provisioned, metadata=dict(ds.metadata),
-        requirements=np.column_stack([performance, power, energy, availability, cost.total]))
+    requirements = np.column_stack([performance, power, energy, availability, cost.total])
+    # read-only and fresh, so the dataset keeps them uncopied; it shares ds.levels likewise
+    provisioned.setflags(write=False)
+    requirements.setflags(write=False)
+    return replace(ds, monitors=provisioned, requirements=requirements, metadata=dict(ds.metadata))

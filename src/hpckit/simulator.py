@@ -28,7 +28,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -567,12 +567,20 @@ def parameters_digest(
     """Stable hash of everything that shapes the sweep besides the seed."""
     payload = {
         "space": space.to_json_dict(),
-        "workload": asdict(params),
-        "effects": asdict(effects),
-        "fault_model": asdict(fault_model),
+        "workload": params,
+        "effects": effects,
+        "fault_model": fault_model,
     }
-    text = json.dumps(payload, sort_keys=True, default=str)
+    text = json.dumps(payload, sort_keys=True, default=_as_json)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _as_json(obj):
+    """A dataclass as ``{field: value}``, rendered as ``asdict`` would be, minus its deep copy;
+    anything else as its ``str``."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return str(obj)
 
 
 def generate_sweep(
@@ -606,6 +614,9 @@ def generate_sweep(
         "n_intervals": str(n_intervals),
         "interval_success_fraction": format(good / (len(monitors) * n_intervals), ".6f"),
     }
-    # each configuration's levels, in the order itertools.product gave them
-    levels = np.indices(shape).reshape(len(shape), -1).T
+    # each configuration's levels, in the order itertools.product gave them, copied to C order;
+    # both arrays are fresh and read-only, so the dataset keeps them uncopied
+    levels = np.indices(shape, space.level_dtype).reshape(len(shape), -1).T.copy()
+    levels.setflags(write=False)
+    monitors.setflags(write=False)
     return SweepDataset(space, levels, monitors, metadata=metadata)

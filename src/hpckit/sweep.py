@@ -146,6 +146,12 @@ class KnobSpace:
     def knob(self, name: str) -> KnobDef:
         return self.knobs[self.knob_index(name)]
 
+    @property
+    def level_dtype(self) -> np.dtype:
+        """The smallest signed integer dtype that holds every knob's largest level index."""
+        # -len is -1 - top, which a signed dtype holds exactly when it holds top
+        return np.min_scalar_type(-max(len(k.levels) for k in self.knobs))
+
     def knob_index(self, name: str) -> int:
         for i, k in enumerate(self.knobs):
             if k.name == name:
@@ -314,16 +320,33 @@ def _first_fault(space: KnobSpace, rank: np.ndarray, levels: np.ndarray, monitor
     return i, ": " + message.format(knobs=space.names, config=tuple(row["levels"]), **row)
 
 
+def _stored(values, arr: np.ndarray, dtype) -> np.ndarray:
+    """``values`` itself if it is a read-only, C-ordered ``dtype`` array, else a read-only copy.
+
+    ``arr`` is ``np.asarray(values)``. A writable array is copied, never
+    frozen, so a caller's array is not aliased.
+    """
+    if not (arr is values and not arr.flags.writeable and arr.flags.c_contiguous
+            and arr.dtype == dtype):
+        arr = np.array(arr, dtype=dtype, order="C")
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SweepDataset:
     """A knob space plus one row per swept configuration, held as columns.
 
-    ``levels`` holds each row's level index per knob (int, [rows, knobs]),
+    ``levels`` holds each row's level index per knob ([rows, knobs], in
+    ``space.level_dtype``: int8 for up to 128 levels per knob),
     ``monitors`` the eleven monitor values (float64, [rows, 11]) and
     ``requirements`` the five requirement values (float64, [rows, 5]), or
     None before derivation; all three are read-only, columns in the
-    canonical orders. ``rank`` is each row's position in
-    ``enumerate_configs(space)``. Every column is checked once here;
+    canonical orders. An array given that is already read-only, C-ordered
+    and of the stored dtype is kept, not copied, so no writable view of it
+    may change it later; anything else is copied.
+    ``rank`` is each row's position in ``enumerate_configs(space)``. Every
+    column is checked once here, level indices as given, before the cast;
     levels must be integers and values real numbers, not bools or strings.
 
     ``metadata`` holds provenance strings (seed, parameter hash) which
@@ -342,11 +365,12 @@ class SweepDataset:
         n = len(self.levels)
         if not n:
             raise ValueError("dataset must contain at least one row")
+        given = {}
         # checked, not coerced: the cast alone would read level 1.7 as 1 and '2' as 2
-        for what, kinds, dtype, width in (
-                ("levels", "iu", np.int64, len(self.space.knobs)),
-                ("monitors", "iuf", float, len(MONITOR_NAMES)),
-                ("requirements", "iuf", float, len(REQUIREMENT_NAMES))):
+        for what, kinds, width in (
+                ("levels", "iu", len(self.space.knobs)),
+                ("monitors", "iuf", len(MONITOR_NAMES)),
+                ("requirements", "iuf", len(REQUIREMENT_NAMES))):
             if (values := getattr(self, what)) is not None:
                 arr = np.asarray(values)
                 fault = f"dtype {arr.dtype}" if arr.dtype.kind not in kinds else None
@@ -359,16 +383,20 @@ class SweepDataset:
                 if fault:
                     noun = "integers" if what == "levels" else "real numbers"
                     raise ValueError(f"{what} must be {noun}, got {fault}")
-                arr = np.array(arr, dtype=dtype, order="C")
                 if arr.shape != (n, width):
                     raise ValueError(f"{what} must have shape ({n}, {width}), got {arr.shape}")
-                arr.setflags(write=False)
-                object.__setattr__(self, what, arr)
-        # a level out of range is clipped in the rank and named by its own rule
-        rank = np.ravel_multi_index(self.levels.T, [len(k.levels) for k in self.space.knobs],
+                given[what] = arr
+        for what in ("monitors", "requirements"):
+            if what in given:
+                object.__setattr__(self, what, _stored(getattr(self, what), given[what], float))
+        # the level rules read the indices as given: the narrow cast would wrap 300 to 44.
+        # A level out of range is clipped in the rank and named by its own rule.
+        levels = given["levels"]
+        rank = np.ravel_multi_index(levels.T, [len(k.levels) for k in self.space.knobs],
                                     mode="clip")
-        if fault := _first_fault(self.space, rank, self.levels, self.monitors, self.requirements):
+        if fault := _first_fault(self.space, rank, levels, self.monitors, self.requirements):
             raise RowError(*fault)
+        object.__setattr__(self, "levels", _stored(self.levels, levels, self.space.level_dtype))
         rank.setflags(write=False)
         object.__setattr__(self, "rank", rank)
 
@@ -534,8 +562,9 @@ def _parse_fault(record, header: list[str], knobs, number_cols) -> str | None:
     return None
 
 
-def _columns(records: list, header: list[str], knobs, number_cols) -> tuple | None:
-    """A block's levels and numbers, parsed a column at a time; None if a record has a parse fault.
+def _columns(records: list, header: list[str], knobs, number_cols, level_dtype) -> tuple | None:
+    """A block's levels (``level_dtype``) and numbers, parsed a column at a time; None if a
+    record has a parse fault.
 
     Only a block's last record can be a csv.Error: the reader stops there.
     """
@@ -547,7 +576,7 @@ def _columns(records: list, header: list[str], knobs, number_cols) -> tuple | No
         numbers = np.array([list(map(float, cells[ci])) for ci in number_cols]).T
     except (KeyError, ValueError):
         return None
-    return (np.array(levels).T, numbers) if np.isfinite(numbers).all() else None
+    return (np.array(levels, level_dtype).T, numbers) if np.isfinite(numbers).all() else None
 
 
 def _read_csv(fh, space: KnobSpace) -> SweepDataset:
@@ -574,9 +603,9 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
              for k in space.knobs]
     layout = (header, knobs, mon_cols + req_cols)  # the cells a record's parse reads
 
-    blocks, fault = [], None
+    blocks, fault, level_dtype = [], None, space.level_dtype
     while block := list(itertools.islice(records, _BLOCK_ROWS)):
-        if (parsed := _columns(block, *layout)) is not None:
+        if (parsed := _columns(block, *layout, level_dtype)) is not None:
             blocks.append(parsed)
             continue
         # the first faulty record ends the read; the records before it are checked below
@@ -584,15 +613,20 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
             _parse_fault(record, *layout) for record in block) if text)
         fault = f"row {_BLOCK_ROWS * len(blocks) + r + 2}{text}"  # as in the file, the header row 1
         if r:
-            blocks.append(_columns(block[:r], *layout))
+            blocks.append(_columns(block[:r], *layout, level_dtype))
         break
     if not blocks:
         raise IngestionError(fault or "no rows in the data section")
 
-    levels, numbers = (np.concatenate(part) for part in zip(*blocks))
+    # each column group concatenated on its own, C-ordered, so the dataset keeps it uncopied
+    m = len(mon_cols)
+    levels = np.concatenate([lv for lv, _ in blocks])
+    monitors = np.concatenate([numbers[:, :m] for _, numbers in blocks])
+    requirements = np.concatenate([numbers[:, m:] for _, numbers in blocks]) if req_cols else None
     del blocks  # the concatenated copies replace them
-    monitors = numbers[:, :len(mon_cols)]
-    requirements = numbers[:, len(mon_cols):] if req_cols else None
+    for arr in (levels, monitors, requirements):
+        if arr is not None:
+            arr.setflags(write=False)
     try:
         dataset = SweepDataset(space, levels, monitors, requirements, metadata)
     except RowError as exc:  # a rule fault of the records before a faulty one comes first

@@ -24,6 +24,8 @@ from hpckit.simulator import (
     FaultCase,
     FaultModel,
     IntervalRecord,
+    KnobEffects,
+    LevelEffect,
     NoiseParams,
     SimulationResult,
     WorkloadParams,
@@ -479,6 +481,19 @@ def test_parameters_digest_is_stable_and_sensitive(default_space):
         default_space, replace(params, base_seconds=2.0), effects, fault
     )
     assert changed != d1
+
+
+# parameters_digest as recorded when it still rendered the models through
+# dataclasses.asdict: the digest text depends on the field values alone
+@pytest.mark.parametrize("params, effects, fault, digest", [
+    (WorkloadParams(), default_effects(), FaultModel(), "0f80a7e27c9ed08c"),
+    (WorkloadParams(servers=3),
+     KnobEffects(noise=NoiseParams(fit=0.2),
+                 levels={"SMT": {"Enable": LevelEffect(throughput=1.7, cpu_power=1.45)}}),
+     FaultModel(probability=0.01, repair_intervals=1), "1b2cf1306f58a28d"),
+])
+def test_parameters_digest_matches_pinned_text(default_space, params, effects, fault, digest):
+    assert parameters_digest(default_space, params, effects, fault) == digest
 
 
 # ------------------------------------------------- planted default structure

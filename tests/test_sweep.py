@@ -600,7 +600,87 @@ def test_dataset_rejects_a_bool_among_numbers_in_a_list(levels, monitors, requir
 def test_dataset_takes_any_integer_levels_and_real_values():
     ds = SweepDataset(space_of(2), np.array([[0], [1]], dtype=np.uint8),
                       np.ones((2, 11), dtype=np.int32), [[0.0, 70.0, 0.0, 1, 5050]] * 2)
-    assert (ds.levels.dtype, ds.monitors.dtype, ds.requirements.dtype) == (np.int64,) + (float,) * 2
+    assert (ds.levels.dtype, ds.monitors.dtype, ds.requirements.dtype) == (np.int8,) + (float,) * 2
+
+
+# ------------------------------------------------------------ column storage
+
+
+def _frozen(values, dtype):
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def test_dataset_shares_a_read_only_c_ordered_array_of_the_stored_dtype():
+    levels = _frozen([[0], [1]], np.int8)
+    monitors = _frozen([monitor_vector()] * 2, float)
+    requirements = _frozen([requirement_values()] * 2, float)
+    ds = SweepDataset(space_of(2), levels, monitors, requirements)
+    assert ds.levels is levels and ds.monitors is monitors and ds.requirements is requirements
+
+
+@pytest.mark.parametrize("make", [
+    lambda values, dtype: np.array(values, dtype=dtype),           # writable
+    lambda values, dtype: _frozen(values, np.float32 if dtype is float else np.int16),
+    lambda values, dtype: _frozen(np.asfortranarray(values, dtype=dtype), dtype),
+])
+def test_dataset_copies_any_other_array_and_leaves_it_as_it_was(make):
+    levels = make([[0, 0], [1, 1]], np.int8)
+    monitors = make([monitor_vector()] * 2, float)
+    writable = levels.flags.writeable
+    ds = SweepDataset(space_of(2, 2), levels, monitors)
+    for given, kept in ((levels, ds.levels), (monitors, ds.monitors)):
+        assert not np.shares_memory(given, kept)
+        assert not kept.flags.writeable and kept.flags.c_contiguous
+        assert given.flags.writeable == writable
+    assert (ds.levels.dtype, ds.monitors.dtype) == (np.int8, np.float64)
+    np.testing.assert_array_equal(ds.monitors, monitors.astype(float))
+
+
+def test_derived_dataset_shares_its_inputs_levels(raw_dataset):
+    derived = derive_dataset(raw_dataset, default_availability_model(), default_cost_model())
+    assert np.shares_memory(derived.levels, raw_dataset.levels)
+
+
+def test_producers_hand_over_read_only_columns(raw_dataset, derived_dataset):
+    back = ingest_csv(io.StringIO(export_csv_string(derived_dataset)), derived_dataset.space)
+    for ds in (raw_dataset, derived_dataset, back):
+        for arr in (ds.levels, ds.monitors, ds.requirements, ds.rank):
+            if arr is not None:
+                assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+@pytest.mark.parametrize("sizes, dtype", [
+    ((2,), np.int8), ((128, 2), np.int8), ((129,), np.int16), ((2, 200), np.int16),
+    ((2**15 + 1,), np.int32),
+])
+def test_level_dtype_is_the_smallest_signed_one_holding_the_largest_index(sizes, dtype):
+    assert space_of(*sizes).level_dtype == dtype
+
+
+def test_levels_are_stored_narrow(default_space, raw_dataset):
+    assert raw_dataset.levels.dtype == default_space.level_dtype == np.int8
+    wide = space_of(200)
+    ds = SweepDataset(wide, [[199], [0], [128]], [monitor_vector()] * 3)
+    assert ds.levels.dtype == np.int16
+    assert ds.levels[:, 0].tolist() == [199, 0, 128]
+    assert [c.levels for c in ds.configs()] == [(199,), (0,), (128,)]
+
+
+@pytest.mark.parametrize("level, message", [
+    (300, "row 2: level index 300 out of range for knob 'K0'"),
+    (2**40, f"row 2: level index {2**40} out of range for knob 'K0'"),
+    (256, "row 2: level index 256 out of range for knob 'K0'"),  # 0 once cast to int8
+    (-1, "row 2: level indices must be non-negative"),
+    (-129, "row 2: level indices must be non-negative"),  # 127 once cast to int8
+    (-2**40, "row 2: level indices must be non-negative"),
+])
+@pytest.mark.parametrize("form", [list, lambda rows: np.array(rows, dtype=np.int64)])
+def test_level_rules_read_the_indices_before_the_narrow_cast(level, message, form):
+    with pytest.raises(RowError) as exc:
+        SweepDataset(space_of(4), form([[0], [1], [level]]), [monitor_vector()] * 3)
+    assert (str(exc.value), exc.value.row) == (message, 2)
 
 
 # ---------------------------------------------------------- ingestion errors
