@@ -52,29 +52,37 @@ def pearson(x, y) -> float:
     through round-off on affine data, never by non-degenerate series)
     is snapped to the bound.
     """
-    r = _corr(_centered(x), _centered(y))
+    r = _corr(*_centered([x, y]))
     if math.isnan(r):
         raise DegenerateSeriesError("correlation undefined for a zero-variance series")
     return r
 
 
-def _centered(series) -> tuple[np.ndarray, float]:
-    """``series`` minus its mean, and the norm of that: pearson's work per series."""
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+def _centered(series: Sequence) -> list[tuple[np.ndarray, float]]:
+    """Each series minus its mean, and the norm of that: pearson's work per series.
+
+    A mean is ``np.add.reduce`` over the series divided by its length, the
+    pairwise sum ``mean`` takes without ``mean``'s Python-level wrapper.
+    Each series stays its own array: at 8192 rows a stacked copy is a fresh
+    allocation of up to 1 MB, whose page faults cost more than the calls it
+    saves. Each norm is its own ``dot`` (BLAS ddot), as a matrix product
+    would sum in another order.
+    """
+    arrays = [np.asarray(s, dtype=float) for s in series]
+    if any(arr.ndim != 1 or arr.size < 2 for arr in arrays):
         raise ValueError("pearson needs 1-d series of at least 2 points")
-    dx = arr - arr.mean()
-    return dx, math.sqrt(float(np.dot(dx, dx)))
+    if len({arr.size for arr in arrays}) > 1:
+        raise ValueError("pearson needs two series of equal length")
+    centered = [arr - np.add.reduce(arr) / arr.size for arr in arrays]
+    return [(dx, math.sqrt(float(dx.dot(dx)))) for dx in centered]
 
 
 def _corr(cx: tuple[np.ndarray, float], cy: tuple[np.ndarray, float]) -> float:
     """pearson of two ``_centered`` series; NaN where either has zero variance."""
     (dx, sx), (dy, sy) = cx, cy
-    if dx.shape != dy.shape:
-        raise ValueError("pearson needs two series of equal length")
     if sx == 0.0 or sy == 0.0:
         return math.nan
-    r = float(np.dot(dx, dy)) / (sx * sy)
+    r = float(dx.dot(dy)) / (sx * sy)
     if 1.0 - abs(r) <= 1e-12:
         return math.copysign(1.0, r)
     return max(-1.0, min(1.0, r))
@@ -90,14 +98,21 @@ class CorrelationMatrix:
 
     @classmethod
     def build(cls, rows: Sequence[Column], cols: Sequence[Column]) -> "CorrelationMatrix":
+        """Every row column's ``pearson`` r against every col column; NaN where undefined.
+
+        Both sides are centered in one ``_centered`` call, each column once,
+        and each pair keeps its own ``dot``, so every entry is ``pearson``'s,
+        bit for bit.
+        """
         values = np.empty((len(rows), len(cols)))
-        centered = [_centered(y) for _, y in cols]
-        for i, (_, x) in enumerate(rows):
-            if rows is cols:  # a set against itself: each pair is correlated once
-                values[i, i:] = values[i:, i] = [_corr(centered[i], cy) for cy in centered[i:]]
-            else:
-                cx = _centered(x)
-                values[i] = [_corr(cx, cy) for cy in centered]
+        if rows is cols:  # a set against itself: each pair is correlated once
+            centered = _centered([y for _, y in cols])
+            for i, cx in enumerate(centered):
+                values[i, i:] = values[i:, i] = [_corr(cx, cy) for cy in centered[i:]]
+        else:
+            centered = _centered([y for _, y in cols] + [x for _, x in rows])
+            for i, cx in enumerate(centered[len(cols):]):
+                values[i] = [_corr(cx, cy) for cy in centered[:len(cols)]]
         return cls(tuple(n for n, _ in rows), tuple(n for n, _ in cols), values)
 
     def to_json_dict(self) -> dict:
@@ -155,36 +170,38 @@ def prune_correlated(
         raise ValueError("column labels must be unique")
 
     # The matrix is built once, the diagonal too: a column is zero-variance
-    # where its own coefficient is undefined. A removal deletes its row and
-    # column, keeping the live order, so every later scan sees the same
-    # matrix (and the same |r| sums) a fresh computation would give.
+    # where its own coefficient is undefined. A removal zeroes its row and
+    # column of the |r| triangle the scan reads and leaves ``live``, so every
+    # later scan meets the live pairs in the same row-major order, and sums
+    # the same live |r| in the same order, as a fresh computation would.
     corr = CorrelationMatrix.build(columns, columns).values
     flat = np.isnan(corr.diagonal())
     removals: list[RemovalRecord] = []
     for name in (n for n, is_flat in zip(names, flat) if is_flat):
         log.warning("column %s has zero variance; excluded from pruning", name)
         removals.append(RemovalRecord(name, "zero_variance"))
-    live = [n for n, is_flat in zip(names, flat) if not is_flat]
+    names = [n for n, is_flat in zip(names, flat) if not is_flat]
     corr = corr[~flat][:, ~flat]
-    above = np.triu(np.ones(corr.shape, dtype=bool), 1)  # its top-left blocks fit every size
-    while len(live) >= 2:
+    magnitude = np.abs(corr)
+    upper = np.triu(magnitude, 1)
+    live = np.ones(len(names), dtype=bool)
+    for _ in range(len(names) - 1):
         # the strongest pair above the diagonal; argmax takes the first in row-major order
-        upper = np.where(above[:len(live), :len(live)], np.abs(corr), 0.0)
-        i, j = divmod(int(upper.argmax()), len(live))
+        i, j = divmod(int(upper.argmax()), len(names))
         if upper[i, j] < threshold:
             break
         # Summed |r| against every other live column decides which
         # member goes; the shared pair entry cancels out.
-        sums = {k: float(np.abs(corr[k]).sum() - 1.0) for k in (i, j)}
+        sums = {k: float(magnitude[k][live].sum() - 1.0) for k in (i, j)}
         drop, keep = (i, j) if sums[i] < sums[j] else (j, i)
         removals.append(RemovalRecord(
-            removed=live[drop], reason="correlated", partner=live[keep],
+            removed=names[drop], reason="correlated", partner=names[keep],
             coefficient=float(corr[i, j]), removed_sum=sums[drop], partner_sum=sums[keep],
         ))
-        del live[drop]
-        corr = np.delete(np.delete(corr, drop, axis=0), drop, axis=1)
+        live[drop] = False
+        upper[drop] = upper[:, drop] = 0.0
 
-    return live, removals
+    return [n for n, is_live in zip(names, live) if is_live], removals
 
 
 def map_requirements_to_monitors(
@@ -343,8 +360,9 @@ def reduce(
     # of the input rows: summation order would otherwise leak row order into the
     # last bits of every coefficient. Stable, to share sweep's sort kernel.
     order = np.argsort(ds.rank, kind="stable")
-    req_columns = [(n, ds.requirements[order, j]) for j, n in enumerate(REQUIREMENT_NAMES)]
-    mon_columns = [(n, ds.monitors[order, j]) for j, n in enumerate(MONITOR_NAMES)]
+    # each group gathered as one C-ordered [columns, rows] array: every column contiguous
+    req_columns = list(zip(REQUIREMENT_NAMES, np.take(ds.requirements.T, order, axis=1)))
+    mon_columns = list(zip(MONITOR_NAMES, np.take(ds.monitors.T, order, axis=1)))
 
     kept_reqs, removed_reqs = prune_correlated(req_columns, requirement_threshold)
     surviving_mons, removed_mons = prune_correlated(mon_columns, requirement_threshold)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, NoFeasibleConfigurationError
 from .metrics import RequirementSpec
 from .reducer import ReductionReport
-from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, Configuration, SweepDataset, zscore
+from .sweep import MONITOR_NAMES, REQUIREMENT_NAMES, Configuration, SweepDataset
 
 log = logging.getLogger(__name__)
 
@@ -82,19 +82,33 @@ def _combined_zscores(
     Weights default to equal shares. Flat (zero-spread) columns carry
     no ranking information; they are dropped with a warning and the
     remaining weights are renormalized to keep the total weight at 1.
+
+    The columns are handled as one [columns, rows] array, each reduced
+    along its row in the same summation order as a one-column call, so
+    every z-score is ``zscore``'s and the flat check ``np.std``'s, bit
+    for bit.
     """
-    live: list[tuple[np.ndarray, float]] = []
-    for name, values in columns:
+    table = np.array([values for _, values in columns], dtype=float)
+    n = table.shape[1]
+    deviations = table - np.add.reduce(table, axis=1, keepdims=True) / n
+    squares = np.add.reduce(deviations * deviations, axis=1)
+    flat = (squares / n == 0.0).tolist()  # np.std (ddof=0) is 0 just when this variance is
+    live, factors = [], []
+    for j, ((name, _), is_flat) in enumerate(zip(columns, flat)):
         w = 1.0 if weights is None else check_weight(name, float(weights.get(name, 1.0)))
-        if float(np.std(values)) == 0.0:
+        if is_flat:
             log.warning("column %s has zero spread; excluded from scoring", name)
             continue
-        # a product, not unary minus: np.negative would map more of numpy's code
-        live.append(((-1.0 if name in HIGHER_IS_BETTER else 1.0) * zscore(values), w))
-    total = sum(w for _, w in live)
+        live.append(j)
+        factors.append((-1.0 if name in HIGHER_IS_BETTER else 1.0, w))
+    total = sum(w for _, w in factors)
     if not live or total == 0.0:
         raise ConfigError("every scoring column is flat or zero-weighted; nothing to rank on")
-    return np.sum([z * (w / total) for z, w in live], axis=0)
+    z = deviations[live] / np.sqrt(squares[live] / (n - 1))[:, None]  # zscore's ddof=1
+    # sign, then weight: two products, as a one-column pass makes them
+    z *= np.array([sign for sign, _ in factors])[:, None]
+    z *= np.array([w / total for _, w in factors])[:, None]
+    return np.sum(z, axis=0)
 
 
 def score_requirements(
@@ -109,8 +123,7 @@ def score_requirements(
         raise ValueError("dataset has no derived requirement values")
     if len(dataset) < 2:
         raise ValueError("scoring needs at least two rows")
-    columns = [(name, dataset.requirement_column(name)) for name in REQUIREMENT_NAMES]
-    return _combined_zscores(columns, weights)
+    return _combined_zscores(list(zip(REQUIREMENT_NAMES, dataset.requirements.T)), weights)
 
 
 def _resolve_spec(dataset: SweepDataset, spec: RequirementSpec | None) -> RequirementSpec:

@@ -253,28 +253,36 @@ def _repeats(c):
     return repeat
 
 
-# The sweep's value rules in reporting order: (bad, message). ``bad`` maps
-# named columns to a mask, true where a row breaks the rule; ``message``
-# is formatted with that row's values.
+_NON_NEGATIVE_MONITOR_MASK = np.array([a in _NON_NEGATIVE_MONITORS for a in _MONITOR_ATTRS])
+_NON_NEGATIVE_REQUIREMENT_MASK = np.array([a in _NON_NEGATIVE_REQUIREMENTS
+                                           for a in _REQUIREMENT_ATTRS])
+
+# The sweep's value rules in reporting order, a group at a time: (bad,
+# messages). ``bad`` maps named columns and column groups to a [rows, rules]
+# mask, true where a row breaks the group's rule k; ``messages[k]`` is
+# formatted with that row's values. A group's rules follow the canonical
+# column order; a rule a group leaves out is never true.
 _MONITOR_RULES = (
-    *((lambda c, a=a: ~np.isfinite(c[a]), f"monitor {a} must be finite, got {{{a}!r}}")
-      for a in _MONITOR_ATTRS),
-    (lambda c: c["execution_time"] <= 0, "execution_time must be positive"),
-    *((lambda c, a=a: c[a] < 0, f"monitor {a} must be non-negative")
-      for a in _NON_NEGATIVE_MONITORS),
-    (lambda c: c["peak_power"] < c["cpu_power"], "peak_power must be at least cpu_power"),
-    (lambda c: (c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0),
-     "MTBF monitors must be positive"),
+    (lambda c: ~np.isfinite(c["monitors"]),
+     tuple(f"monitor {a} must be finite, got {{{a}!r}}" for a in _MONITOR_ATTRS)),
+    (lambda c: (c["execution_time"] <= 0)[:, None], ("execution_time must be positive",)),
+    (lambda c: (c["monitors"] < 0) & _NON_NEGATIVE_MONITOR_MASK,
+     tuple(f"monitor {a} must be non-negative" for a in _MONITOR_ATTRS)),
+    (lambda c: (c["peak_power"] < c["cpu_power"])[:, None],
+     ("peak_power must be at least cpu_power",)),
+    (lambda c: ((c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0))[:, None],
+     ("MTBF monitors must be positive",)),
 )
 _REQUIREMENT_RULES = (
-    *((lambda c, a=a: ~np.isfinite(c[a]), f"requirement {a} must be finite, got {{{a}!r}}")
-      for a in _REQUIREMENT_ATTRS),
+    (lambda c: ~np.isfinite(c["requirements"]),
+     tuple(f"requirement {a} must be finite, got {{{a}!r}}" for a in _REQUIREMENT_ATTRS)),
     # a NaN availability has failed the finiteness rule already
-    (lambda c: (c["availability"] < 0.0) | (c["availability"] > 1.0),
-     "availability must lie in [0, 1]"),
-    *((lambda c, a=a: c[a] < 0, f"requirement {a} must be non-negative")
-      for a in _NON_NEGATIVE_REQUIREMENTS),
-    (_energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
+    (lambda c: ((c["availability"] < 0.0) | (c["availability"] > 1.0))[:, None],
+     ("availability must lie in [0, 1]",)),
+    (lambda c: (c["requirements"] < 0) & _NON_NEGATIVE_REQUIREMENT_MASK,
+     tuple(f"requirement {a} must be non-negative" for a in _REQUIREMENT_ATTRS)),
+    (lambda c: _energy_mismatch(c)[:, None],
+     ("energy must equal performance times power ({energy!r} vs {product!r})",)),
 )
 
 
@@ -284,15 +292,15 @@ def _rules(space: KnobSpace, derived: bool) -> tuple:
     A level range rule names a level that is out of range, and a repeated
     row is named for any other fault it has.
     """
+    sizes = np.array([len(knob.levels) for knob in space.knobs])
     return (
-        *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
-          for j in range(len(space.knobs))),
+        (lambda c: c["levels"] < 0, ("level indices must be non-negative",) * len(sizes)),
         *_MONITOR_RULES,
         *(_REQUIREMENT_RULES if derived else ()),
-        *((lambda c, j=j, size=len(knob.levels): c["levels"][:, j] >= size,
-           f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}")
-          for j, knob in enumerate(space.knobs)),
-        (_repeats, "duplicate configuration {config}"),
+        (lambda c: c["levels"] >= sizes,
+         tuple(f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}"
+               for j in range(len(sizes)))),
+        (lambda c: _repeats(c)[:, None], ("duplicate configuration {config}",)),
     )
 
 
@@ -301,18 +309,25 @@ def _first_fault(space: KnobSpace, rank: np.ndarray, levels: np.ndarray, monitor
     """The first bad row's index and ": " plus the first rule it breaks, or None.
 
     ``rank`` is each row's enumeration rank, a level out of range clipped.
-    Each rule is applied once, to the rows before the first bad row found so far.
+    Each group of rules is applied once, to the rows before the first bad
+    row found so far. Its mask's first true entry in row-major order is its
+    first bad row and, within that row, its first broken rule, so the
+    result is that of applying each rule in table order.
     """
-    c = {"levels": levels, "rank": rank, **dict(zip(_MONITOR_ATTRS, monitors.T))}
+    c = {"levels": levels, "rank": rank, "monitors": monitors,
+         **dict(zip(_MONITOR_ATTRS, monitors.T))}
     if requirements is not None:
-        c.update(zip(_REQUIREMENT_ATTRS, requirements.T))
+        c.update(zip(_REQUIREMENT_ATTRS, requirements.T), requirements=requirements)
         with np.errstate(over="ignore", invalid="ignore"):
             c["product"] = c["performance"] * c["power"]
     i, message = len(levels), None
-    for bad, rule in _rules(space, requirements is not None):
-        rows = bad(c)[:i]  # argmax: its first bad row, or 0 when there is none
-        if rows.size and rows[j := int(rows.argmax())]:
-            i, message = j, rule
+    for bad, messages in _rules(space, requirements is not None):
+        mask = bad(c)[:i]
+        row, k = divmod(int(mask.argmax()), len(messages))  # 0 when no entry is true
+        if mask[row, k]:
+            i, message = row, messages[k]
+            if not i:  # no row comes before row 0, and argmax takes no empty mask
+                break
     if message is None:
         return None
     # Python values, so a float renders as 1.0, not np.float64(1.0)
@@ -563,8 +578,8 @@ def _parse_fault(record, header: list[str], knobs, number_cols) -> str | None:
 
 
 def _columns(records: list, header: list[str], knobs, number_cols, level_dtype) -> tuple | None:
-    """A block's levels (``level_dtype``) and numbers, parsed a column at a time; None if a
-    record has a parse fault.
+    """A block's levels (``level_dtype``), monitors and requirements, each C-ordered and
+    parsed a column at a time; None if a record has a parse fault.
 
     Only a block's last record can be a csv.Error: the reader stops there.
     """
@@ -573,10 +588,14 @@ def _columns(records: list, header: list[str], knobs, number_cols, level_dtype) 
     cells = list(zip(*records))
     try:
         levels = [list(map(code.__getitem__, cells[ci])) for _, code, ci in knobs]
-        numbers = np.array([list(map(float, cells[ci])) for ci in number_cols]).T
+        numbers = np.array([list(map(float, cells[ci])) for ci in number_cols])
     except (KeyError, ValueError):
         return None
-    return (np.array(levels, level_dtype).T, numbers) if np.isfinite(numbers).all() else None
+    if not np.isfinite(numbers).all():
+        return None
+    m = len(MONITOR_NAMES)
+    return tuple(np.ascontiguousarray(part.T)
+                 for part in (np.array(levels, level_dtype), numbers[:m], numbers[m:]))
 
 
 def _read_csv(fh, space: KnobSpace) -> SweepDataset:
@@ -603,30 +622,30 @@ def _read_csv(fh, space: KnobSpace) -> SweepDataset:
              for k in space.knobs]
     layout = (header, knobs, mon_cols + req_cols)  # the cells a record's parse reads
 
-    blocks, fault, level_dtype = [], None, space.level_dtype
-    while block := list(itertools.islice(records, _BLOCK_ROWS)):
-        if (parsed := _columns(block, *layout, level_dtype)) is not None:
-            blocks.append(parsed)
-            continue
-        # the first faulty record ends the read; the records before it are checked below
-        r, text = next((r, text) for r, text in enumerate(
-            _parse_fault(record, *layout) for record in block) if text)
-        fault = f"row {_BLOCK_ROWS * len(blocks) + r + 2}{text}"  # as in the file, the header row 1
-        if r:
-            blocks.append(_columns(block[:r], *layout, level_dtype))
-        break
-    if not blocks:
+    # the blocks of each column group: levels, monitors, requirements
+    groups, fault, level_dtype = ([], [], []), None, space.level_dtype
+    while not fault and (block := list(itertools.islice(records, _BLOCK_ROWS))):
+        if (parsed := _columns(block, *layout, level_dtype)) is None:
+            # the first faulty record ends the read; the records before it are checked below
+            r, text = next((r, text) for r, text in enumerate(
+                _parse_fault(record, *layout) for record in block) if text)
+            fault = f"row {_BLOCK_ROWS * len(groups[0]) + r + 2}{text}"  # the header is row 1
+            parsed = _columns(block[:r], *layout, level_dtype) if r else ()
+        for parts, part in zip(groups, parsed):
+            parts.append(part)
+    if not groups[0]:
         raise IngestionError(fault or "no rows in the data section")
 
-    # each column group concatenated on its own, C-ordered, so the dataset keeps it uncopied
-    m = len(mon_cols)
-    levels = np.concatenate([lv for lv, _ in blocks])
-    monitors = np.concatenate([numbers[:, :m] for _, numbers in blocks])
-    requirements = np.concatenate([numbers[:, m:] for _, numbers in blocks]) if req_cols else None
-    del blocks  # the concatenated copies replace them
-    for arr in (levels, monitors, requirements):
-        if arr is not None:
-            arr.setflags(write=False)
+    # Each group is joined on its own and its blocks released before the next,
+    # so the table is held about once; C-ordered and read-only, the dataset
+    # keeps each uncopied.
+    joined = []
+    for parts in groups:
+        joined.append(np.concatenate(parts))
+        parts.clear()
+        joined[-1].setflags(write=False)
+    levels, monitors, requirements = joined
+    requirements = requirements if req_cols else None
     try:
         dataset = SweepDataset(space, levels, monitors, requirements, metadata)
     except RowError as exc:  # a rule fault of the records before a faulty one comes first

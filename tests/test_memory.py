@@ -9,8 +9,11 @@ stage that goes back to holding every row crosses it. A third peak, or
 derive's second, is the one since the dataset keeps the fresh read-only
 columns it is given and stores level indices as int8. Those bounds also lie
 under the peak before it: generate or derive crosses its bound when the
-dataset copies its columns again, and ingest, whose peak comes while it
-parses, when it parses levels as int64 again.
+dataset copies its columns again. Ingest's fourth peak is the one since it
+joins one column group at a time, from C-ordered blocks, and frees that
+group's blocks before the next. It crosses its bound when it holds every
+block until all groups are joined, when it hands the dataset F-ordered
+columns to copy, or when it parses levels as int64 again.
 """
 
 import hashlib
@@ -33,7 +36,7 @@ from hpckit.sweep import KnobDef, KnobLevel, KnobSpace, export_csv, export_csv_s
 GENERATE_PEAK_MB = 2.9  # 6.4 -> 4.0 -> 2.4
 DERIVE_PEAK_MB = 3.6    # 4.3 -> 2.9
 EXPORT_PEAK_MB = 3.5    # 6.6 -> 0.4
-INGEST_PEAK_MB = 3.7    # 10.6 -> 4.1 -> 3.1
+INGEST_PEAK_MB = 2.5    # 10.6 -> 4.1 -> 3.1 -> 2.2
 
 # SHA-256 of export_csv_string(generate_sweep(...)) on this space at seed 12,
 # as perfbench/digests.py prints it

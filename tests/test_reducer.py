@@ -108,6 +108,63 @@ def test_pearson_symmetric_and_affine_invariant(n, seed, a, b):
     assert math.isclose(pearson(x, a * y + b), r, rel_tol=1e-9, abs_tol=1e-9)
 
 
+def _reference_pearson(x, y) -> float:
+    """pearson a pair at a time: each series centered on its own ``mean``, norms and r by
+    ``np.dot``; NaN where either series has zero variance."""
+    dx, dy = (np.asarray(s, dtype=float) - np.mean(s) for s in (x, y))
+    sx, sy = (math.sqrt(float(np.dot(d, d))) for d in (dx, dy))
+    if sx == 0.0 or sy == 0.0:
+        return math.nan
+    r = float(np.dot(dx, dy)) / (sx * sy)
+    if 1.0 - abs(r) <= 1e-12:
+        return math.copysign(1.0, r)
+    return max(-1.0, min(1.0, r))
+
+
+def _correlation_columns(rng, n, prefix, k):
+    """``k`` random columns of ``n`` points: noisy, flat, or affine in an earlier column."""
+    columns = []
+    for j in range(k):
+        kind = rng.integers(5)
+        if kind == 0:
+            values = np.full(n, rng.choice([0.0, 3.5, 0.1]))
+        elif kind == 1 and columns:
+            base = columns[rng.integers(len(columns))][1]
+            values = rng.choice([-2.5, -1.0, 0.5, 3.0]) * base + rng.uniform(-50.0, 50.0)
+        else:
+            values = rng.normal(rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 3), n)
+        columns.append((f"{prefix}{j}", values))
+    return columns
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 17, 128, 129, 8192])
+def test_correlation_matrix_entries_are_pairwise_pearson_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(12 if n < 8192 else 2):
+        rows = _correlation_columns(rng, n, "r", int(rng.integers(1, 7)))
+        cols = _correlation_columns(rng, n, "c", int(rng.integers(1, 12)))
+        for left, right in ((rows, cols), (cols, cols)):
+            table = CorrelationMatrix.build(left, right).values
+            want = np.array([[_reference_pearson(x, y) for _, y in right] for _, x in left])
+            assert table.tobytes() == want.tobytes()
+            for (_, x), got in zip(left, table.tolist()):
+                for (_, y), r in zip(right, got):
+                    if math.isnan(r):
+                        with pytest.raises(DegenerateSeriesError):
+                            pearson(x, y)
+                    else:
+                        assert pearson(x, y) == r
+
+
+def test_correlation_matrix_marks_zero_variance_and_snaps_affine_pairs():
+    x = np.array([0.3, 1.7, -2.2, 5.1, 0.0, 9.9, 4.4, -7.5, 2.0])
+    columns = [("x", x), ("up", 3.0 * x + 7.0), ("down", -0.25 * x + 1.0),
+               ("flat", np.full(9, 2.5))]
+    table = CorrelationMatrix.build(columns, columns).values
+    assert table[:3, :3].tolist() == [[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    assert np.isnan(table[3]).all() and np.isnan(table[:, 3]).all()
+
+
 # -------------------------------------------------------------------- pruning
 
 

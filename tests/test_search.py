@@ -1,5 +1,6 @@
 """Feasibility filtering, scoring, exhaustive and reduced search."""
 
+import logging
 import math
 import re
 from dataclasses import replace
@@ -14,8 +15,10 @@ from hpckit.errors import ConfigError, NoFeasibleConfigurationError
 from hpckit.metrics import AvailabilityModel, CostModel, RequirementSpec, derive_dataset
 from hpckit.search import (
     HIGHER_IS_BETTER,
+    _combined_zscores,
     _improvement_ratio,
     _percent_difference,
+    check_weight,
     feasible_rows,
     is_feasible,
     oracle_best,
@@ -223,6 +226,87 @@ def test_nothing_to_rank_on_is_rejected(perf, weights):
     ds = _scored_dataset(perf, [70.0] * 4, [0.99] * 4, [5000.0] * 4)
     with pytest.raises(ConfigError, match="every scoring column is flat or zero-weighted"):
         score_requirements(ds, weights)
+
+
+def _reference_combined_zscores(columns, weights=None):
+    """``_combined_zscores`` a column at a time: ``np.std`` for the flat check, then ``zscore``."""
+    live = []
+    for name, values in columns:
+        w = 1.0 if weights is None else check_weight(name, float(weights.get(name, 1.0)))
+        if float(np.std(values)) == 0.0:
+            logging.getLogger("hpckit.search").warning(
+                "column %s has zero spread; excluded from scoring", name)
+            continue
+        live.append(((-1.0 if name in HIGHER_IS_BETTER else 1.0) * zscore(values), w))
+    total = sum(w for _, w in live)
+    if not live or total == 0.0:
+        raise ConfigError("every scoring column is flat or zero-weighted; nothing to rank on")
+    return np.sum([z * (w / total) for z, w in live], axis=0)
+
+
+def _scoring_column(rng, n):
+    """A random column of ``n`` values: spread over many scales, flat, or flat but for rounding."""
+    kind = rng.integers(6)
+    if kind == 0:
+        return np.full(n, rng.choice([0.0, 5.0, 0.1, -3.7e5, 1e-300]))
+    if kind == 1:  # equal values whose mean rounds: np.std is tiny, not 0
+        return np.full(n, rng.choice([0.1, 0.7, 1.1, 2.2e-7]))
+    if kind == 2:
+        return rng.integers(0, 3, n).astype(float)  # few distinct values, often flat at n = 2
+    if kind == 3:  # one value apart
+        column = np.full(n, 1e5)
+        column[rng.integers(n)] = np.nextafter(1e5, 2e5)
+        return column
+    return rng.normal(rng.uniform(-1e4, 1e4), 10.0 ** rng.uniform(-6, 6), n)
+
+
+def _score_outcome(caplog, call, columns, weights):
+    caplog.clear()
+    try:
+        outcome = call(columns, weights).tobytes()
+    except ConfigError as exc:
+        outcome = str(exc)
+    return outcome, [record.getMessage() for record in caplog.records]
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 128, 129, 8192, 8193])
+def test_combined_zscores_match_the_one_column_statement_bit_for_bit(n, caplog):
+    # names from both sets, HIGHER_IS_BETTER ones among them
+    names = REQUIREMENT_NAMES + MONITOR_NAMES
+    rng = np.random.default_rng(n)
+    caplog.set_level(logging.WARNING, logger="hpckit.search")
+    outcomes = set()
+    for _ in range(60 if n < 8192 else 6):
+        k = int(rng.integers(1, 7))
+        picked = rng.choice(len(names), k, replace=False)
+        columns = [(names[j], _scoring_column(rng, n)) for j in picked]
+        weights = None
+        if rng.random() < 0.5:  # some left out, some zero, one at times negative
+            weights = {name: float(rng.choice([0.0, 0.5, 1.0, 3.0, -1.0], p=[.3, .2, .2, .2, .1]))
+                       for name, _ in columns if rng.random() < 0.8}
+        want = _score_outcome(caplog, _reference_combined_zscores, columns, weights)
+        assert _score_outcome(caplog, _combined_zscores, columns, weights) == want
+        outcomes.add(type(want[0]))
+    assert outcomes == {bytes, str}  # both scores and rejections were compared
+
+
+@pytest.mark.parametrize("columns, flat", [
+    ([("cost", [0.1] * 3), ("ipc", [1.0, 2.0, 4.0])], []),  # the mean rounds: not flat
+    ([("cost", [5.0] * 4), ("ipc", [1.0, 2.0, 4.0, 8.0]), ("opex", [2.0] * 4)], ["cost", "opex"]),
+], ids=["mean rounds", "two flat"])
+def test_combined_zscores_warn_for_flat_columns_in_order(columns, flat, caplog):
+    columns = [(name, np.array(values)) for name, values in columns]
+    caplog.set_level(logging.WARNING, logger="hpckit.search")
+    got = _combined_zscores(columns)
+    assert got.tobytes() == _reference_combined_zscores(columns).tobytes()
+    assert [record.getMessage() for record in caplog.records] == 2 * [
+        f"column {name} has zero spread; excluded from scoring" for name in flat]
+
+
+def test_combined_zscores_reject_only_flat_columns():
+    columns = [(name, np.full(5, 2.5)) for name in ("cost", "ipc")]
+    with pytest.raises(ConfigError, match="every scoring column is flat or zero-weighted"):
+        _combined_zscores(columns)
 
 
 def test_scoring_needs_two_rows():

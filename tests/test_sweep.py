@@ -566,6 +566,119 @@ def test_dataset_rejects_out_of_range_levels_and_duplicates():
         SweepDataset(space_of(4), [(0,), (1,), (3,), (5,)], mons)
 
 
+_MONITOR_ATTRS = tuple(attr for _, attr in MONITOR_FIELDS)
+_REQUIREMENT_ATTRS = tuple(attr for _, attr in REQUIREMENT_FIELDS)
+
+
+def _reference_rules(space, derived):
+    """The rule table a rule at a time, in reporting order: (bad, message)."""
+    def energy_mismatch(c):
+        with np.errstate(invalid="ignore"):
+            tolerance = np.maximum(1e-9 * np.maximum(np.abs(c["energy"]), np.abs(c["product"])),
+                                   1e-9)
+            return ~(np.isfinite(c["product"]) & (np.abs(c["energy"] - c["product"]) <= tolerance))
+
+    def repeats(c):
+        order = np.argsort(c["rank"], kind="stable")
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[order[1:]] = np.diff(c["rank"][order]) == 0
+        return repeat
+
+    monitor_rules = (
+        *((lambda c, a=a: ~np.isfinite(c[a]), f"monitor {a} must be finite, got {{{a}!r}}")
+          for a in _MONITOR_ATTRS),
+        (lambda c: c["execution_time"] <= 0, "execution_time must be positive"),
+        *((lambda c, a=a: c[a] < 0, f"monitor {a} must be non-negative")
+          for a in ("dram_power", "cpu_power", "peak_power", "mpki", "capex", "opex")),
+        (lambda c: c["peak_power"] < c["cpu_power"], "peak_power must be at least cpu_power"),
+        (lambda c: (c["server_mtbf"] <= 0) | (c["system_mtbf"] <= 0),
+         "MTBF monitors must be positive"),
+    )
+    requirement_rules = (
+        *((lambda c, a=a: ~np.isfinite(c[a]), f"requirement {a} must be finite, got {{{a}!r}}")
+          for a in _REQUIREMENT_ATTRS),
+        (lambda c: (c["availability"] < 0.0) | (c["availability"] > 1.0),
+         "availability must lie in [0, 1]"),
+        *((lambda c, a=a: c[a] < 0, f"requirement {a} must be non-negative")
+          for a in ("performance", "power", "energy", "cost")),
+        (energy_mismatch, "energy must equal performance times power ({energy!r} vs {product!r})"),
+    )
+    return (
+        *((lambda c, j=j: c["levels"][:, j] < 0, "level indices must be non-negative")
+          for j in range(len(space.knobs))),
+        *monitor_rules,
+        *(requirement_rules if derived else ()),
+        *((lambda c, j=j, size=len(knob.levels): c["levels"][:, j] >= size,
+           f"level index {{levels[{j}]}} out of range for knob {{knobs[{j}]!r}}")
+          for j, knob in enumerate(space.knobs)),
+        (repeats, "duplicate configuration {config}"),
+    )
+
+
+def _reference_first_fault(space, rank, levels, monitors, requirements):
+    """``sweep._first_fault`` by the ordered scan: each rule in table order, over the rows
+    before the first bad row found so far, on one column at a time."""
+    c = {"levels": levels, "rank": rank, **dict(zip(_MONITOR_ATTRS, monitors.T))}
+    if requirements is not None:
+        c.update(zip(_REQUIREMENT_ATTRS, requirements.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c["product"] = c["performance"] * c["power"]
+    i, message = len(levels), None
+    for bad, rule in _reference_rules(space, requirements is not None):
+        rows = bad(c)[:i]
+        if rows.size and rows[j := int(rows.argmax())]:
+            i, message = j, rule
+    if message is None:
+        return None
+    row = {name: column[i:i + 1].tolist()[0] for name, column in c.items()}
+    return i, ": " + message.format(knobs=space.names, config=tuple(row["levels"]), **row)
+
+
+def _plant(rng, space, levels, monitors, requirements, row):
+    """One random fault, or a value on the edge of one, in ``row`` of the tables, in place."""
+    kind = rng.integers(9 if requirements is not None else 6)
+    table, width = ((monitors, 11), (requirements, 5))[int(kind >= 6)]
+    column = rng.integers(width)
+    if kind in (0, 6):
+        table[row, column] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind in (1, 7):  # a sign, a zero or the smallest positive value, ipc or cpu_temp too
+        table[row, column] = rng.choice([-1.0, -0.0, 0.0, 5e-324]) * table[row, column]
+    elif kind == 2:
+        monitors[row, 4] = monitors[row, 3] * rng.choice([0.5, 1.0])
+    elif kind == 3:  # out of range either way, even past what int8 holds
+        j = rng.integers(len(space.knobs))
+        levels[row, j] = rng.choice([-1, -200, len(space.knobs[j].levels), 300])
+    elif kind == 4:
+        levels[row] = levels[rng.integers(len(levels))]
+    elif kind == 5:  # a tie in the level sort: the later row repeats the earlier
+        levels[[row, rng.integers(len(levels))]] = levels[rng.integers(len(levels))]
+    elif kind == 8:
+        requirements[row, rng.integers(2, 4)] *= rng.choice([1.01, 1.0 + 5e-10, -1.0, 1.5])
+
+
+@pytest.mark.parametrize("derived", [True, False], ids=["derived", "raw"])
+def test_grouped_rules_name_what_the_ordered_scan_names(derived_dataset, derived):
+    # 1-4 faults in a few rows, so that several share a row and the first bad
+    # row breaks several rules of one group or of several groups
+    space, n = derived_dataset.space, len(derived_dataset)
+    rng = np.random.default_rng(25)
+    messages = set()
+    for _ in range(400):
+        levels = derived_dataset.levels.astype(np.int64)
+        monitors = derived_dataset.monitors.copy()
+        requirements = derived_dataset.requirements.copy() if derived else None
+        rows = rng.choice([0, *rng.choice(n, 2, replace=False)], rng.integers(1, 5))
+        for row in rows:
+            _plant(rng, space, levels, monitors, requirements, row)
+        if 0 <= levels.min() <= levels.max() < 128 and rng.random() < 0.5:  # as a caller may give
+            levels = levels.astype(rng.choice([np.int8, np.uint8, np.uint64]))
+        rank = np.ravel_multi_index(levels.T, [len(k.levels) for k in space.knobs], mode="clip")
+        want = _reference_first_fault(space, rank, levels, monitors, requirements)
+        assert sweep._first_fault(space, rank, levels, monitors, requirements) == want
+        messages.add(want and re.sub(r"\(.*|\d+|'.*'", "", want[1]))
+    assert len(messages) >= (50 if derived else 35)
+
+
 @pytest.mark.parametrize("levels, monitors, requirements, message", [
     ([(0,), (1.7,)], None, None, "levels must be integers, got dtype float64"),
     ([("0",), ("1",)], None, None, "levels must be integers, got dtype <U1"),
@@ -649,6 +762,25 @@ def test_producers_hand_over_read_only_columns(raw_dataset, derived_dataset):
         for arr in (ds.levels, ds.monitors, ds.requirements, ds.rank):
             if arr is not None:
                 assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_ingest_hands_the_dataset_columns_it_keeps_uncopied(derived_dataset, monkeypatch):
+    kept, stored = [], sweep._stored
+
+    def spy(values, arr, dtype):
+        kept.append((out := stored(values, arr, dtype)) is values)
+        return out
+
+    monkeypatch.setattr(sweep, "_stored", spy)
+    ingest_csv(io.StringIO(export_csv_string(derived_dataset)), derived_dataset.space)
+    assert kept == [True] * 3  # monitors, requirements, levels
+    # 1600 rows: the columns are joined from seven blocks
+    space = space_of(40, 40)
+    raw = SweepDataset(space, [c.levels for c in enumerate_configs(space)],
+                       [monitor_vector()] * 1600)
+    kept.clear()
+    ingest_csv(io.StringIO(export_csv_string(raw)), space)
+    assert kept == [True] * 2
 
 
 @pytest.mark.parametrize("sizes, dtype", [
