@@ -7,8 +7,8 @@ are up meets the target, and capex/opex then price that S. The derived
 capex and opex are written back into the monitor columns so the cost
 monitors reflect the provisioned system rather than placeholders.
 
-The power, energy, per-server availability and cost formulas take floats
-or whole numpy columns alike; ``derive_dataset`` applies them to columns.
+Every formula takes floats or whole numpy columns alike; ``derive_dataset``
+applies them to columns.
 """
 
 from __future__ import annotations
@@ -120,37 +120,45 @@ def server_availability(mtbf: float, mttr: float) -> float:
 def system_availability(servers: int, required: int, a: float) -> float:
     """Probability that at least ``required`` of ``servers`` are up.
 
-    Servers fail independently, each up with probability ``a``.
+    Servers fail independently, each up with probability ``a`` (a float or a column).
+    Powers are Python's ``**`` on each value: numpy's can differ in the last bit.
     """
     if servers < 1 or required < 1 or required > servers:
         raise ValueError("need 1 <= required <= servers")
-    if not 0.0 <= a <= 1.0:
+    up = np.asarray(a, dtype=float)
+    if not np.all((up >= 0.0) & (up <= 1.0)):
         raise ValueError("per-server availability must lie in [0, 1]")
-    total = 0.0
-    for k in range(required, servers + 1):
-        total += math.comb(servers, k) * a**k * (1.0 - a) ** (servers - k)
-    return min(total, 1.0)
+    ups, downs = up.ravel().tolist(), (1.0 - up.ravel()).tolist()
+    total = np.minimum(sum(math.comb(servers, k) * np.array([x**k for x in ups])
+                           * np.array([x ** (servers - k) for x in downs])
+                           for k in range(required, servers + 1)), 1.0)
+    return float(total[0]) if up.ndim == 0 else total
 
 
 def min_servers(required: int, a: float, target: float, cap: int = 16) -> tuple[int, float]:
     """Smallest server count meeting the availability target, and its availability.
 
-    Scans S from ``required`` to ``cap`` and returns the first S with
-    system_availability(S, required, a) >= target, together with that
-    availability. Raises UnreachableTargetError carrying the best
-    achievable availability when even the cap falls short.
+    Scans S from ``required`` to ``cap``, each S taking only the values still short of
+    ``target``: an ``(int, float)`` pair for a float ``a``, int and float columns for a
+    column. Raises UnreachableTargetError with the best availability of the first value
+    that even the cap leaves short.
     """
     if cap < required:
         raise ValueError("cap must be at least required")
-    best = 0.0
-    for servers in range(required, cap + 1):
-        avail = system_availability(servers, required, a)
-        if avail >= target:
-            return servers, avail
-        best = max(best, avail)
-    raise UnreachableTargetError(
-        f"no server count up to {cap} reaches availability {target}; the best is {best}", best
-    )
+    up = np.asarray(a, dtype=float)
+    servers, availability = np.zeros(up.size, dtype=int), np.zeros(up.size)
+    short, best = np.arange(up.size), np.zeros(up.size)
+    for count in range(required, cap + 1):
+        avail = system_availability(count, required, up.ravel()[short])
+        met = avail >= target
+        servers[short[met]], availability[short[met]] = count, avail[met]
+        short, best = short[~met], np.maximum(best, avail)[~met]
+        if not short.size:
+            break
+    else:
+        raise UnreachableTargetError(f"no server count up to {cap} reaches availability "
+                                     f"{target}; the best is {best[0]}", float(best[0]))
+    return (int(servers[0]), float(availability[0])) if up.ndim == 0 else (servers, availability)
 
 
 def derive_cost(servers: int, energy: float, model: CostModel) -> CostBreakdown:
@@ -182,11 +190,8 @@ def derive_dataset(
     of ``spec``, or of the default ``RequirementSpec()`` when it is None.
 
     The provisioned server count sets system MTBF (server MTBF divided by
-    the count, a series model), capex and opex. Each step is the scalar
-    formula applied elementwise, so every value is the float a per-row
-    loop would give. The availability binomial stays the scalar
-    ``system_availability`` over Python floats: a vectorised power
-    differs from Python's ``**`` in the last bit.
+    the count, a series model), capex and opex. Each formula runs on whole
+    columns and gives every value the float a per-row loop would give.
     """
     (RequirementSpec() if spec is None else spec).check_mc_iterations(ds)
     monitors = ds.monitors
@@ -195,11 +200,9 @@ def derive_dataset(
     power = derive_power(monitors[:, col["cpu_power_w"]], monitors[:, col["dram_power_w"]])
     energy = derive_energy(performance, power)
     server_mtbf = monitors[:, col["server_mtbf_h"]]
-    a = server_availability(server_mtbf, avail_model.mttr_h).tolist()
-    required = avail_model.required_servers
-    servers, availability = zip(*(min_servers(required, x, avail_model.availability_target,
-                                              avail_model.max_servers) for x in a))
-    servers = np.array(servers, dtype=float)  # as Python converts an int times a float
+    servers, availability = min_servers(avail_model.required_servers,
+                                        server_availability(server_mtbf, avail_model.mttr_h),
+                                        avail_model.availability_target, avail_model.max_servers)
     cost = derive_cost(servers, energy, cost_model)
     provisioned = monitors.copy()
     provisioned[:, col["system_mtbf_h"]] = server_mtbf / servers

@@ -45,47 +45,40 @@ def pearson(x, y) -> float:
 
     Raises DegenerateSeriesError when either series has zero variance;
     the coefficient is undefined there and must not be reported as 0.
-
-    Exactly affine pairs (y = a*x + b) return exactly +1.0 or -1.0: by
-    the Cauchy-Schwarz equality condition |r| = 1 holds only for linear
-    dependence, so a result within 1e-12 of the bound (reachable only
-    through round-off on affine data, never by non-degenerate series)
-    is snapped to the bound.
+    Exactly affine pairs (y = a*x + b) return exactly +1.0 or -1.0: |r| = 1
+    holds only for linear dependence (Cauchy-Schwarz), so a result within
+    1e-12 of the bound, reachable only through round-off, is snapped to it.
     """
-    r = _corr(*_centered([x, y]))
+    r = float(CorrelationMatrix.build([("x", x)], [("y", y)]).values[0, 0])
     if math.isnan(r):
         raise DegenerateSeriesError("correlation undefined for a zero-variance series")
     return r
 
 
-def _centered(series: Sequence) -> list[tuple[np.ndarray, float]]:
-    """Each series minus its mean, and the norm of that: pearson's work per series.
+def _dots(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Dot of each pair of series in two broadcast stacks: each 1 x n by n x 1 ``matmul`` is
+    the BLAS ddot ``ndarray.dot`` runs on two series (``dx @ dy.T`` sums in another order)."""
+    return np.matmul(dx[..., None, :], dy[..., :, None])[..., 0, 0]
 
-    A mean is ``np.add.reduce`` over the series divided by its length, the
-    pairwise sum ``mean`` takes without ``mean``'s Python-level wrapper.
-    Each series stays its own array: at 8192 rows a stacked copy is a fresh
-    allocation of up to 1 MB, whose page faults cost more than the calls it
-    saves. Each norm is its own ``dot`` (BLAS ddot), as a matrix product
-    would sum in another order.
+
+@np.errstate(over="ignore", invalid="ignore")  # a far series is scaled and centered again
+def _centered(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The series as one fresh [series, n] array less each mean (``mean``'s pairwise sum), and
+    each norm, NaN where it is 0. A series whose norm lies outside [2**-500, 2**500] is scaled
+    by the power of two that brings its largest |value| into [0.5, 1), and centered again
+    (Blue, ACM TOMS 4(1), 1978): its squares then neither overflow nor lose bits, and as the
+    scaling is exact, its coefficients are the unscaled series' and all others keep their bits.
     """
-    arrays = [np.asarray(s, dtype=float) for s in series]
-    if any(arr.ndim != 1 or arr.size < 2 for arr in arrays):
-        raise ValueError("pearson needs 1-d series of at least 2 points")
-    if len({arr.size for arr in arrays}) > 1:
-        raise ValueError("pearson needs two series of equal length")
-    centered = [arr - np.add.reduce(arr) / arr.size for arr in arrays]
-    return [(dx, math.sqrt(float(dx.dot(dx)))) for dx in centered]
-
-
-def _corr(cx: tuple[np.ndarray, float], cy: tuple[np.ndarray, float]) -> float:
-    """pearson of two ``_centered`` series; NaN where either has zero variance."""
-    (dx, sx), (dy, sy) = cx, cy
-    if sx == 0.0 or sy == 0.0:
-        return math.nan
-    r = float(dx.dot(dy)) / (sx * sy)
-    if 1.0 - abs(r) <= 1e-12:
-        return math.copysign(1.0, r)
-    return max(-1.0, min(1.0, r))
+    d = np.array(series).reshape(len(series), series[0].size if series else 0)
+    d -= (np.add.reduce(d, axis=1) / d.shape[1])[:, None]
+    squares = _dots(d, d)
+    far = np.flatnonzero(~((squares >= 2.0**-1000) & (squares <= 2.0**1000)))
+    if far.size:
+        raw = np.array([series[i] for i in far])
+        raw = np.ldexp(raw, -np.frexp(np.abs(raw).max(axis=1))[1][:, None])
+        d[far] = raw - (np.add.reduce(raw, axis=1) / d.shape[1])[:, None]
+        squares[far] = _dots(d[far], d[far])
+    return d, np.where(squares == 0.0, np.nan, np.sqrt(squares))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,19 +93,18 @@ class CorrelationMatrix:
     def build(cls, rows: Sequence[Column], cols: Sequence[Column]) -> "CorrelationMatrix":
         """Every row column's ``pearson`` r against every col column; NaN where undefined.
 
-        Both sides are centered in one ``_centered`` call, each column once,
-        and each pair keeps its own ``dot``, so every entry is ``pearson``'s,
-        bit for bit.
+        Each side is centered once as one array; each entry is its own ddot over the two
+        norms, NaN where a norm is 0, snapped to +-1 within 1e-12, clamped to [-1, 1].
         """
-        values = np.empty((len(rows), len(cols)))
-        if rows is cols:  # a set against itself: each pair is correlated once
-            centered = _centered([y for _, y in cols])
-            for i, cx in enumerate(centered):
-                values[i, i:] = values[i:, i] = [_corr(cx, cy) for cy in centered[i:]]
-        else:
-            centered = _centered([y for _, y in cols] + [x for _, x in rows])
-            for i, cx in enumerate(centered[len(cols):]):
-                values[i] = [_corr(cx, cy) for cy in centered[:len(cols)]]
+        series = [np.asarray(s, dtype=float) for _, s in (*rows, *cols)]
+        if any(arr.ndim != 1 or arr.size < 2 for arr in series):
+            raise ValueError("pearson needs 1-d series of at least 2 points")
+        if len({arr.size for arr in series}) > 1:
+            raise ValueError("pearson needs two series of equal length")
+        dy, sy = _centered(series[len(rows):])
+        dx, sx = (dy, sy) if rows is cols else _centered(series[:len(rows)])
+        r = _dots(dx[:, None], dy[None, :]) / np.multiply.outer(sx, sy)
+        values = np.where(1.0 - np.abs(r) <= 1e-12, np.copysign(1.0, r), np.clip(r, -1.0, 1.0))
         return cls(tuple(n for n, _ in rows), tuple(n for n, _ in cols), values)
 
     def to_json_dict(self) -> dict:
@@ -358,11 +350,11 @@ def reduce(
 
     # Canonicalize row order so the report is bit-identical under any permutation
     # of the input rows: summation order would otherwise leak row order into the
-    # last bits of every coefficient. Stable, to share sweep's sort kernel.
-    order = np.argsort(ds.rank, kind="stable")
-    # each group gathered as one C-ordered [columns, rows] array: every column contiguous
-    req_columns = list(zip(REQUIREMENT_NAMES, np.take(ds.requirements.T, order, axis=1)))
-    mon_columns = list(zip(MONITOR_NAMES, np.take(ds.monitors.T, order, axis=1)))
+    # last bits of every coefficient. Stable, to share sweep's sort kernel. Rows
+    # already in rank order are read in place; each table copies what it centers.
+    order = slice(None) if (np.diff(ds.rank) > 0).all() else np.argsort(ds.rank, kind="stable")
+    req_columns = list(zip(REQUIREMENT_NAMES, ds.requirements[order].T))
+    mon_columns = list(zip(MONITOR_NAMES, ds.monitors[order].T))
 
     kept_reqs, removed_reqs = prune_correlated(req_columns, requirement_threshold)
     surviving_mons, removed_mons = prune_correlated(mon_columns, requirement_threshold)
@@ -374,12 +366,15 @@ def reduce(
 
     mapped = {m.monitor for m in mapping.values()}
     kept_monitors = tuple(n for n in MONITOR_NAMES if n in mapped)
-    removed = list(removed_mons)
-    for name in surviving_mons:
-        if name not in mapped:
-            removed.append(RemovalRecord(name, "unmapped"))
+    removed = [*removed_mons, *(RemovalRecord(n, "unmapped") for n in surviving_mons
+                                if n not in mapped)]
 
-    knob_columns = [(n, ds.knob_column(n)[order]) for n in ds.space.names]
+    # one take of the level codes, one lookup in the knobs' level values padded to one width
+    width = max(len(k.levels) for k in ds.space.knobs)
+    level_values = np.array([[k.numeric_value(min(j, len(k.levels) - 1)) for j in range(width)]
+                             for k in ds.space.knobs])
+    codes = ds.levels[order]
+    knob_columns = list(zip(ds.space.names, level_values[range(len(level_values)), codes].T))
     selected, rejected, table = select_knobs(
         knob_columns,
         [c for c in mon_columns if c[0] in kept_monitors],

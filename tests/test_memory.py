@@ -13,7 +13,13 @@ dataset copies its columns again. Ingest's fourth peak is the one since it
 joins one column group at a time, from C-ordered blocks, and frees that
 group's blocks before the next. It crosses its bound when it holds every
 block until all groups are joined, when it hands the dataset F-ordered
-columns to copy, or when it parses levels as int64 again.
+columns to copy, or when it parses levels as int64 again. Derive's third
+peak is the one since it finds every row's server count in one column pass.
+Reduce reads rows already in rank order in place and holds each correlation
+table's columns as one centered array per side. It crosses its bound when it
+copies its column groups into rank order anyway (its peak before), when a
+table copies each column once more before stacking it, or when a table forms
+a stacked [rows, columns, n] product (7.9 MB for 11 x 11 monitors).
 """
 
 import hashlib
@@ -30,11 +36,13 @@ from hpckit.defaults import (
     default_workload,
 )
 from hpckit.metrics import derive_dataset
+from hpckit.reducer import reduce
 from hpckit.simulator import generate_sweep
 from hpckit.sweep import KnobDef, KnobLevel, KnobSpace, export_csv, export_csv_string, ingest_csv
 
 GENERATE_PEAK_MB = 2.9  # 6.4 -> 4.0 -> 2.4
-DERIVE_PEAK_MB = 3.6    # 4.3 -> 2.9
+DERIVE_PEAK_MB = 2.6    # 4.3 -> 2.9 -> 2.4
+REDUCE_PEAK_MB = 2.2    # 2.9 -> 1.8
 EXPORT_PEAK_MB = 3.5    # 6.6 -> 0.4
 INGEST_PEAK_MB = 2.5    # 10.6 -> 4.1 -> 3.1 -> 2.2
 
@@ -93,6 +101,11 @@ def test_generate_sweep_holds_no_row_objects(generated):
 def test_derive_dataset_holds_each_column_once(derived):
     _, peak = derived
     assert peak < DERIVE_PEAK_MB
+
+
+def test_reduce_holds_each_table_side_once(derived):
+    _, peak = traced_peak(reduce, derived[0])
+    assert peak < REDUCE_PEAK_MB
 
 
 def test_export_csv_formats_a_block_at_a_time(derived):

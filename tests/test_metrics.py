@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,6 +184,93 @@ def test_min_servers_result_meets_target_and_is_minimal(required, a, target):
     assert system_availability(s, required, a) >= target
     if s > required:
         assert system_availability(s - 1, required, a) < target
+
+
+def _reference_system_availability(servers: int, required: int, a: float) -> float:
+    """The scalar binomial over one Python float, a term at a time from 0.0."""
+    total = 0.0
+    for k in range(required, servers + 1):
+        total += math.comb(servers, k) * a**k * (1.0 - a) ** (servers - k)
+    return min(total, 1.0)
+
+
+def _reference_min_servers(required: int, a: float, target: float, cap: int):
+    """The scalar scan: ``(servers, availability)``, or ``("short", best)`` when the cap falls short."""
+    best = 0.0
+    for servers in range(required, cap + 1):
+        avail = _reference_system_availability(servers, required, a)
+        if avail >= target:
+            return servers, avail
+        best = max(best, avail)
+    return "short", best
+
+
+def _availability_column(seed, n=400):
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([rng.uniform(0.0, 1.0, n), 1.0 - rng.uniform(0.0, 1e-3, n // 4),
+                        [0.0, 1.0, 0.5, 0.99]])
+    return a[rng.permutation(a.size)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_system_availability_column_is_the_scalar_binomial_bit_for_bit(seed):
+    a = _availability_column(seed)
+    for servers, required in ((1, 1), (2, 2), (3, 2), (7, 3), (16, 2), (16, 16)):
+        got = system_availability(servers, required, a)
+        want = np.array([_reference_system_availability(servers, required, x) for x in a.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("required,target,cap", [
+    (1, 0.9, 16), (2, 0.99, 16), (2, 0.999999, 16), (3, 0.95, 3), (2, 0.5, 2), (4, 0.9999, 9),
+])
+def test_min_servers_column_is_the_scalar_scan_bit_for_bit(seed, required, target, cap):
+    a = _availability_column(seed)
+    want = [_reference_min_servers(required, x, target, cap) for x in a.tolist()]
+    short = [i for i, (servers, _) in enumerate(want) if servers == "short"]
+    if short:
+        with pytest.raises(UnreachableTargetError) as exc:
+            min_servers(required, a, target, cap)
+        assert exc.value.best_availability == want[short[0]][1]
+        assert str(exc.value) == (f"no server count up to {cap} reaches availability {target}; "
+                                  f"the best is {want[short[0]][1]}")
+        reachable = np.array([x for x, (servers, _) in zip(a.tolist(), want) if servers != "short"])
+        want = [w for w in want if w[0] != "short"]
+        a = reachable
+    servers, availability = min_servers(required, a, target, cap)
+    assert servers.tolist() == [s for s, _ in want]
+    assert availability.tobytes() == np.array([v for _, v in want]).tobytes()
+
+
+def test_min_servers_reports_the_first_short_value_of_a_column():
+    # 0.6 and 0.5 both miss 0.99 by the cap; the error carries the first one's best
+    with pytest.raises(UnreachableTargetError) as exc:
+        min_servers(2, np.array([0.999, 0.6, 0.5]), 0.99, cap=4)
+    assert exc.value.best_availability == _reference_min_servers(2, 0.6, 0.99, 4)[1]
+
+
+def test_scalar_availability_calls_keep_their_types_values_and_errors():
+    value = system_availability(3, 2, 0.9)
+    assert type(value) is float and value == _reference_system_availability(3, 2, 0.9)
+    picked = min_servers(2, 0.97, 0.99, cap=5)
+    assert [type(x) for x in picked] == [int, float]
+    assert picked == _reference_min_servers(2, 0.97, 0.99, 5)
+    assert min_servers(2, 0.999, 0.9, cap=2) == (2, _reference_system_availability(2, 2, 0.999))
+    with pytest.raises(UnreachableTargetError) as exc:
+        min_servers(2, 0.5, 0.999999, cap=4)
+    assert type(exc.value.best_availability) is float
+    assert str(exc.value) == "no server count up to 4 reaches availability 0.999999; the best is 0.6875"
+    for call, message in (
+        (lambda: system_availability(2, 3, 0.9), "need 1 <= required <= servers"),
+        (lambda: system_availability(2, 2, 1.5), "per-server availability must lie in [0, 1]"),
+        (lambda: system_availability(2, 2, math.nan), "per-server availability must lie in [0, 1]"),
+        (lambda: min_servers(3, 0.9, 0.9, cap=2), "cap must be at least required"),
+        (lambda: min_servers(2, -0.1, 0.9), "per-server availability must lie in [0, 1]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------------- cost

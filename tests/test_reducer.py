@@ -62,6 +62,22 @@ def test_pearson_rejects_shape_mismatch():
         pearson([1.0], [2.0])
 
 
+def test_pearson_names_what_is_wrong_with_its_series():
+    for x, y, message in (
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "pearson needs two series of equal length"),
+        ([1.0, 2.0, 3.0], [3.0, 1.0], "pearson needs two series of equal length"),
+        ([1.0], [2.0], "pearson needs 1-d series of at least 2 points"),
+        ([[1.0, 2.0]], [[2.0, 1.0]], "pearson needs 1-d series of at least 2 points"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            pearson(x, y)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="^pearson needs two series of equal length$"):
+        CorrelationMatrix.build([("x", [1.0, 2.0, 3.0])], [("y", [1.0, 2.0])])
+    r = pearson([1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 3.0])
+    assert type(r) is float and r == _reference_pearson([1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 3.0])
+
+
 varied_series = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
     min_size=2,
@@ -110,7 +126,7 @@ def test_pearson_symmetric_and_affine_invariant(n, seed, a, b):
 
 def _reference_pearson(x, y) -> float:
     """pearson a pair at a time: each series centered on its own ``mean``, norms and r by
-    ``np.dot``; NaN where either series has zero variance."""
+    ``np.dot``; NaN where either norm is 0, snapped to +-1 within 1e-12, then clamped."""
     dx, dy = (np.asarray(s, dtype=float) - np.mean(s) for s in (x, y))
     sx, sy = (math.sqrt(float(np.dot(d, d))) for d in (dx, dy))
     if sx == 0.0 or sy == 0.0:
@@ -137,13 +153,14 @@ def _correlation_columns(rng, n, prefix, k):
     return columns
 
 
-@pytest.mark.parametrize("n", [3, 7, 8, 9, 17, 128, 129, 8192])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 8192, 8193])
 def test_correlation_matrix_entries_are_pairwise_pearson_bit_for_bit(n):
     rng = np.random.default_rng(n)
     for _ in range(12 if n < 8192 else 2):
         rows = _correlation_columns(rng, n, "r", int(rng.integers(1, 7)))
         cols = _correlation_columns(rng, n, "c", int(rng.integers(1, 12)))
-        for left, right in ((rows, cols), (cols, cols)):
+        # (cols, cols) is one set against itself; list(cols) the same set as two sides
+        for left, right in ((rows, cols), (cols, cols), (list(cols), cols)):
             table = CorrelationMatrix.build(left, right).values
             want = np.array([[_reference_pearson(x, y) for _, y in right] for _, x in left])
             assert table.tobytes() == want.tobytes()
@@ -163,6 +180,44 @@ def test_correlation_matrix_marks_zero_variance_and_snaps_affine_pairs():
     table = CorrelationMatrix.build(columns, columns).values
     assert table[:3, :3].tolist() == [[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
     assert np.isnan(table[3]).all() and np.isnan(table[:, 3]).all()
+
+
+def test_correlation_matrix_of_flat_and_rounding_flat_columns_is_the_pairwise_rule():
+    # [0.1] * 3 sums to 0.30000000000000004, so its mean is not 0.1 and its
+    # deviations are not 0: like the one-pair rule, the table gives it an r
+    columns = [("tenth", np.array([0.1] * 3)), ("zero", np.zeros(3)), ("flat", np.full(3, 3.5)),
+               ("up", np.array([1.0, 2.0, 3.0])), ("down", np.array([3.0, 2.0, 1.0])),
+               ("bent", np.array([2.0, 4.0, 6.5]))]
+    want = np.array([[_reference_pearson(x, y) for _, y in columns] for _, x in columns])
+    assert CorrelationMatrix.build(columns, columns).values.tobytes() == want.tobytes()
+    assert CorrelationMatrix.build(columns[3:], columns).values.tobytes() == want[3:].tobytes()
+    assert np.isnan(want[1:3]).all() and not np.isnan(want[0, 3:]).any()
+
+
+@pytest.mark.parametrize("e", [-600, -540, 531, 600])
+def test_extreme_magnitude_columns_keep_their_coefficients_bit_for_bit(e):
+    # squares of these deviations overflow (e > 0) or underflow (e < 0) a float
+    x, y, z = (np.array(v) for v in ([1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 3.0], [4.0, 1.0, 1.0, 2.0]))
+    assert math.isclose(pearson(x, y), 0.5292, abs_tol=1e-4)
+    assert math.isclose(pearson(x, z), -0.4140, abs_tol=1e-4)
+    scale = 2.0**e
+    assert pearson(x * scale, y * scale) == pearson(x, y)
+    assert pearson(x * scale, z * scale) == pearson(x, z)
+    assert pearson(x * scale, y) == pearson(x, y)
+    # deviations this wide overflow while the series is centered
+    wide = np.array([1e308, -1e308, 5e307, 1.7e308])
+    assert pearson(wide, y) == pearson(wide * 2.0**-1000, y)
+    rng = np.random.default_rng(abs(e))
+    columns = [("x", x), ("y", y), ("z", z)]
+    long = [(f"c{j}", rng.normal(rng.uniform(-5.0, 5.0), 1.0, 129)) for j in range(4)]
+    for plain in (columns, long):
+        want = CorrelationMatrix.build(plain, plain).values.tobytes()
+        scaled = [(n, c * scale) for n, c in plain]
+        mixed = [(n, c * scale if j % 2 else c) for j, (n, c) in enumerate(plain)]
+        for side in (scaled, mixed):
+            assert CorrelationMatrix.build(side, side).values.tobytes() == want
+            assert CorrelationMatrix.build(side, plain).values.tobytes() == want
+            assert CorrelationMatrix.build(plain, side).values.tobytes() == want
 
 
 # -------------------------------------------------------------------- pruning
@@ -489,6 +544,16 @@ def test_reduce_default_dataset_is_permutation_stable(derived_dataset, default_r
     ):
         permuted_report = reduce(_permuted(derived_dataset, order))
         assert permuted_report.to_json_dict() == default_report.to_json_dict()
+
+
+def test_reduce_correlates_each_knob_by_its_level_values_in_rank_order(derived_dataset,
+                                                                         default_report):
+    ds = _permuted(derived_dataset, list(np.random.default_rng(7).permutation(128)))
+    order = np.argsort(ds.rank, kind="stable")
+    knobs = [(n, ds.knob_column(n)[order]) for n in ds.space.names]
+    monitors = [(m, ds.monitor_column(m)[order]) for m in default_report.kept_monitors]
+    want = CorrelationMatrix.build(knobs, monitors).values
+    assert reduce(ds).knob_coefficients.values.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
